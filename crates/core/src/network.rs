@@ -11,6 +11,17 @@ use faultline_metric::{Geometry, Key, KeySpace, MetricSpace, Position};
 use faultline_overlay::{GraphBuilder, NodeId, OverlayGraph};
 use faultline_routing::{RouteResult, Router};
 use rand::Rng;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Source of topology stamps. Shared by every `Network` in the process so a stamp
+/// is never handed out twice.
+static NEXT_TOPOLOGY_STAMP: AtomicU64 = AtomicU64::new(0);
+
+/// Draws a stamp no other topology in this process has carried.
+fn fresh_topology_stamp() -> u64 {
+    // Relaxed suffices: the stamp is a unique name, not a synchronisation point.
+    NEXT_TOPOLOGY_STAMP.fetch_add(1, Ordering::Relaxed)
+}
 
 /// The outcome of a key lookup.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -43,6 +54,7 @@ pub struct Network {
     key_space: KeySpace,
     directory: Directory,
     config: NetworkConfig,
+    topology_stamp: u64,
 }
 
 impl Network {
@@ -85,7 +97,19 @@ impl Network {
             key_space: KeySpace::new(geometry.len()),
             directory: Directory::new(),
             config: *config,
+            topology_stamp: fresh_topology_stamp(),
         }
+    }
+
+    /// A name for the current topology: it changes on every call to a topology
+    /// mutator (`apply_failure`, `apply_failure_delta`, `heal_nodes`, `join`,
+    /// `leave`, failed calls included) and on nothing else. Stamps come from one
+    /// process-wide counter and are never reused, so two equal stamps, even read
+    /// from different networks, name the same topology. Snapshot owners key their
+    /// compiled views by it.
+    #[must_use]
+    pub fn topology_stamp(&self) -> u64 {
+        self.topology_stamp
     }
 
     /// The configuration the network was built from.
@@ -293,6 +317,7 @@ impl Network {
 
     /// Applies a failure plan to the overlay (node crashes, link failures, …).
     pub fn apply_failure<R: Rng>(&mut self, plan: &dyn FailurePlan, rng: &mut R) -> FailureReport {
+        self.topology_stamp = fresh_topology_stamp();
         // The maintainer owns the graph; borrow it mutably through a temporary swap.
         let geometry = self.graph().geometry();
         let ell = self.maintainer.links_per_node();
@@ -315,6 +340,7 @@ impl Network {
         plan: &dyn FailurePlan,
         rng: &mut R,
     ) -> (FailureReport, faultline_overlay::ChurnDelta) {
+        self.topology_stamp = fresh_topology_stamp();
         let geometry = self.graph().geometry();
         let ell = self.maintainer.links_per_node();
         let strategy = self.maintainer.strategy();
@@ -331,6 +357,7 @@ impl Network {
     /// re-admits their rows and their in-neighbours' restored targets.
     /// Positions that are absent or already alive are no-ops.
     pub fn heal_nodes(&mut self, nodes: &[NodeId]) -> faultline_overlay::ChurnDelta {
+        self.topology_stamp = fresh_topology_stamp();
         let geometry = self.graph().geometry();
         let ell = self.maintainer.links_per_node();
         let strategy = self.maintainer.strategy();
@@ -355,6 +382,7 @@ impl Network {
         position: NodeId,
         rng: &mut R,
     ) -> Result<faultline_construction::JoinReport, CoreError> {
+        self.topology_stamp = fresh_topology_stamp();
         Ok(self.maintainer.join(position, rng)?)
     }
 
@@ -372,6 +400,7 @@ impl Network {
         position: NodeId,
         rng: &mut R,
     ) -> Result<faultline_construction::LeaveReport, CoreError> {
+        self.topology_stamp = fresh_topology_stamp();
         let report = self.maintainer.leave(position, rng)?;
         // Each orphaned key moves to the node responsible for *its own* point — keys
         // homed together on the departed node generally scatter to different successors.
@@ -484,6 +513,59 @@ mod tests {
             fresh.sort_unstable();
             assert_eq!(patched, fresh, "row {p} diverged after heal");
         }
+    }
+
+    #[test]
+    fn topology_stamp_moves_with_every_mutator_and_nothing_else() {
+        use faultline_failure::RegionFailure;
+        let mut rng = StdRng::seed_from_u64(31);
+        let config =
+            NetworkConfig::paper_default(256).construction(ConstructionMode::incremental_default());
+        let mut net = Network::build(&config, &mut rng);
+        let mut stamp = net.topology_stamp();
+
+        // Reads and directory writes leave the topology, and so the stamp, alone.
+        let key = Key::from_name("stamp");
+        net.insert(key, b"v".to_vec()).unwrap();
+        net.route(0, 200, &mut rng);
+        net.route_random(&mut rng).unwrap();
+        net.route_random_batch(10, &mut rng).unwrap();
+        net.lookup_from(3, &key, &mut rng).unwrap();
+        net.lookup_route(3, &key, &mut rng).unwrap();
+        assert_eq!(net.topology_stamp(), stamp);
+
+        let mut moved = |net: &Network, what: &str| {
+            let next = net.topology_stamp();
+            assert_ne!(next, stamp, "{what} must take a fresh stamp");
+            stamp = next;
+        };
+        net.leave(100, &mut rng).unwrap();
+        moved(&net, "leave");
+        net.join(100, &mut rng).unwrap();
+        moved(&net, "join");
+        // Failed calls take a fresh stamp too: callers never need to ask whether a
+        // mutator got far enough to change anything.
+        assert!(net.join(100, &mut rng).is_err());
+        moved(&net, "a failed join");
+        net.leave(100, &mut rng).unwrap();
+        moved(&net, "leave");
+        assert!(net.leave(100, &mut rng).is_err());
+        moved(&net, "a failed leave");
+        let report = net.apply_failure(&NodeFailure::count(4), &mut rng);
+        moved(&net, "apply_failure");
+        let (region, _) = net.apply_failure_delta(&RegionFailure::at(40, 8), &mut rng);
+        moved(&net, "apply_failure_delta");
+        net.heal_nodes(&report.failed_nodes);
+        moved(&net, "heal_nodes");
+        net.heal_nodes(&region.failed_nodes);
+        moved(&net, "heal_nodes");
+        net.heal_nodes(&[]);
+        moved(&net, "an empty heal");
+
+        // Two networks built from one seed share a topology but never a stamp.
+        let a = network(128, 5);
+        let b = network(128, 5);
+        assert_ne!(a.topology_stamp(), b.topology_stamp());
     }
 
     #[test]

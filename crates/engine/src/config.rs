@@ -123,29 +123,6 @@ pub enum SnapshotMaintenance {
     Rebuild,
 }
 
-/// When a frozen-enabled batch compiles its routing snapshot (see
-/// [`EngineConfig::freeze_policy`]).
-///
-/// Routing results are unaffected by the choice — live-graph and frozen routing are
-/// bit-identical for the deterministic strategies — only where cache misses are
-/// routed (and hence wall-clock) changes.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum FreezePolicy {
-    /// Compile a snapshot for every frozen-enabled batch — the default.
-    #[default]
-    Always,
-    /// Skip the freeze for any batch that starts with a cache hit rate of at least
-    /// this threshold: a near-fully-warm cache leaves the uncached kernel too cold
-    /// to amortise the build. The threshold must lie in `[0, 1]` and requires a
-    /// non-zero cache capacity (the policy reads the previous batch's hit rate);
-    /// both are checked by [`EngineConfig::validate`].
-    HitRate(f64),
-    /// Derive the skip decision from the engine's own measurements: skip when the
-    /// predicted miss volume times the measured per-miss kernel gain no longer
-    /// amortises the measured freeze cost.
-    Auto,
-}
-
 /// A typed rejection from [`EngineConfig::validate`].
 ///
 /// Every variant names a configuration that previous releases either silently
@@ -163,15 +140,6 @@ pub enum ConfigError {
         /// The fixed bucket count queries shard by.
         buckets: usize,
     },
-    /// A [`FreezePolicy::HitRate`] threshold outside `[0, 1]`.
-    FreezeThresholdOutOfRange {
-        /// The offending threshold.
-        threshold: f64,
-    },
-    /// [`FreezePolicy::HitRate`] with caching disabled: the policy gates on the
-    /// previous batch's cache hit rate, which a capacity-0 engine never observes,
-    /// so the policy would silently never trigger.
-    HitRateFreezeWithoutCache,
     /// A Byzantine corruption fraction outside `[0, 1]`.
     ByzantineFractionOutOfRange {
         /// The offending fraction.
@@ -200,14 +168,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ShardsExceedBuckets { shards, buckets } => write!(
                 f,
                 "{shards} shards exceed the {buckets} source buckets; the excess could never receive work"
-            ),
-            ConfigError::FreezeThresholdOutOfRange { threshold } => write!(
-                f,
-                "hit-rate freeze threshold {threshold} outside [0, 1]"
-            ),
-            ConfigError::HitRateFreezeWithoutCache => write!(
-                f,
-                "hit-rate freeze policy requires a non-zero cache capacity (the policy reads the cache hit rate)"
             ),
             ConfigError::ByzantineFractionOutOfRange { fraction } => {
                 write!(f, "Byzantine fraction {fraction} outside [0, 1]")
@@ -238,7 +198,6 @@ pub struct EngineConfig {
     frozen: bool,
     maintenance: SnapshotMaintenance,
     row_invalidation: bool,
-    freeze: FreezePolicy,
     byzantine: Option<ByzantineConfig>,
     failures: Option<FailureSchedule>,
     telemetry: bool,
@@ -255,7 +214,6 @@ impl Default for EngineConfig {
             frozen: true,
             maintenance: SnapshotMaintenance::Delta,
             row_invalidation: true,
-            freeze: FreezePolicy::Always,
             byzantine: None,
             failures: None,
             telemetry: true,
@@ -301,33 +259,14 @@ impl EngineConfig {
 
     /// Enables or disables the compiled-snapshot fast path (default: enabled).
     ///
-    /// When enabled, each batch compiles the overlay into a
-    /// [`FrozenView`](faultline_core::FrozenView) once and routes cache misses through
-    /// the zero-allocation CSR kernel. Disabling it routes every miss over the live
+    /// When enabled, the engine compiles the overlay into a
+    /// [`FrozenView`](faultline_core::FrozenView) once per topology stamp and routes
+    /// cache misses through the zero-allocation CSR kernel. Disabling it routes every miss over the live
     /// graph — the pre-snapshot behaviour, kept as the benchmark baseline.
     #[must_use]
     pub fn frozen(mut self, frozen: bool) -> Self {
         self.frozen = frozen;
         self
-    }
-
-    /// Legacy boolean shorthand for [`EngineConfig::maintenance`]:
-    /// `incremental(true)` is `maintenance(SnapshotMaintenance::Delta)` and
-    /// `incremental(false)` is `maintenance(SnapshotMaintenance::Rebuild)`.
-    ///
-    /// The boolean predates [`SnapshotMaintenance`] growing its third mode and can
-    /// no longer express the full choice, so it survives one release as a
-    /// forwarding wrapper only.
-    #[deprecated(
-        note = "use maintenance(SnapshotMaintenance::Delta) / maintenance(SnapshotMaintenance::Rebuild)"
-    )]
-    #[must_use]
-    pub fn incremental(self, incremental: bool) -> Self {
-        self.maintenance(if incremental {
-            SnapshotMaintenance::Delta
-        } else {
-            SnapshotMaintenance::Rebuild
-        })
     }
 
     /// Selects how the interleaved runner maintains its persistent snapshot (default:
@@ -352,32 +291,6 @@ impl EngineConfig {
     pub fn row_invalidation(mut self, enabled: bool) -> Self {
         self.row_invalidation = enabled;
         self
-    }
-
-    /// Selects when frozen-enabled batches compile their routing snapshot (default:
-    /// [`FreezePolicy::Always`]). [`FreezePolicy::HitRate`] skips the freeze for
-    /// batches a warm cache will absorb; [`FreezePolicy::Auto`] derives the skip
-    /// decision from the engine's own freeze-cost and per-miss-cost measurements
-    /// (the two sides of the ratio the `snapshot_maintenance` benchmark section
-    /// publishes). See [`FreezePolicy`].
-    #[must_use]
-    pub fn freeze_policy(mut self, policy: FreezePolicy) -> Self {
-        self.freeze = policy;
-        self
-    }
-
-    /// Legacy spelling of `freeze_policy(FreezePolicy::HitRate(hit_rate_threshold))`.
-    #[deprecated(note = "use freeze_policy(FreezePolicy::HitRate(t))")]
-    #[must_use]
-    pub fn adaptive_freeze(self, hit_rate_threshold: f64) -> Self {
-        self.freeze_policy(FreezePolicy::HitRate(hit_rate_threshold))
-    }
-
-    /// Legacy spelling of `freeze_policy(FreezePolicy::Auto)`.
-    #[deprecated(note = "use freeze_policy(FreezePolicy::Auto)")]
-    #[must_use]
-    pub fn adaptive_freeze_auto(self) -> Self {
-        self.freeze_policy(FreezePolicy::Auto)
     }
 
     /// Configured worker threads (0 = available parallelism).
@@ -426,19 +339,6 @@ impl EngineConfig {
     #[must_use]
     pub fn row_invalidation_enabled(&self) -> bool {
         self.row_invalidation
-    }
-
-    /// The configured snapshot-freeze policy (see [`EngineConfig::freeze_policy`]).
-    #[must_use]
-    pub fn freeze_policy_mode(&self) -> FreezePolicy {
-        self.freeze
-    }
-
-    /// Whether an adaptive (non-[`Always`](FreezePolicy::Always)) freeze policy is
-    /// enabled.
-    #[must_use]
-    pub fn adaptive_freeze_enabled(&self) -> bool {
-        self.freeze != FreezePolicy::Always
     }
 
     /// Enables or disables the engine's telemetry subsystem (default: enabled).
@@ -526,9 +426,8 @@ impl EngineConfig {
     ///
     /// This is the single validation path: [`QueryEngine::new`](crate::QueryEngine::new)
     /// calls it at construction (and panics with the error's message, since a bad
-    /// config there is a programming error), every
-    /// [`run_batch`](crate::QueryEngine::run_batch) re-asserts it, and
-    /// `ScenarioSpec::into_engine_config` in the scenario DSL surfaces it as a
+    /// config there is a programming error; the engine exposes no setter, so the
+    /// config cannot change afterwards), and `ScenarioSpec::into_engine_config` in the scenario DSL surfaces it as a
     /// diagnosable `Result`. Earlier releases silently clamped shard counts and
     /// panicked inside the byzantine builders; both now land here instead.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -541,14 +440,6 @@ impl EngineConfig {
                 shards: self.shards,
                 buckets,
             });
-        }
-        if let FreezePolicy::HitRate(threshold) = self.freeze {
-            if !(0.0..=1.0).contains(&threshold) {
-                return Err(ConfigError::FreezeThresholdOutOfRange { threshold });
-            }
-            if self.cache_capacity == 0 {
-                return Err(ConfigError::HitRateFreezeWithoutCache);
-            }
         }
         if let Some(byzantine) = &self.byzantine {
             if byzantine.redundancy == 0 {
@@ -591,15 +482,13 @@ mod tests {
             .cache_capacity(64)
             .max_hops(1000)
             .frozen(false)
-            .maintenance(SnapshotMaintenance::Rebuild)
-            .freeze_policy(FreezePolicy::HitRate(0.95));
+            .maintenance(SnapshotMaintenance::Rebuild);
         assert_eq!(config.thread_count(), 8);
         assert_eq!(config.shard_count(), 32);
         assert_eq!(config.cache_capacity_entries(), 64);
         assert_eq!(config.max_hops_override(), Some(1000));
         assert!(!config.frozen_enabled());
         assert!(!config.incremental_enabled());
-        assert_eq!(config.freeze_policy_mode(), FreezePolicy::HitRate(0.95));
         assert!(
             EngineConfig::default().frozen_enabled(),
             "the fast path is the default"
@@ -617,11 +506,6 @@ mod tests {
             EngineConfig::default().row_invalidation_enabled(),
             "row-level cache invalidation is the default"
         );
-        assert_eq!(
-            EngineConfig::default().freeze_policy_mode(),
-            FreezePolicy::Always
-        );
-        assert!(!EngineConfig::default().adaptive_freeze_enabled());
         assert!(
             EngineConfig::default().telemetry_enabled(),
             "telemetry is on by default"
@@ -651,32 +535,11 @@ mod tests {
     }
 
     #[test]
-    fn freeze_policies_are_distinguishable() {
-        let fixed = EngineConfig::default().freeze_policy(FreezePolicy::HitRate(0.9));
-        assert_eq!(fixed.freeze_policy_mode(), FreezePolicy::HitRate(0.9));
-        assert!(fixed.adaptive_freeze_enabled());
-        let auto = EngineConfig::default().freeze_policy(FreezePolicy::Auto);
-        assert_eq!(auto.freeze_policy_mode(), FreezePolicy::Auto);
-        assert!(auto.adaptive_freeze_enabled());
-    }
-
-    #[test]
-    fn freeze_threshold_is_range_checked() {
-        assert_eq!(
-            EngineConfig::default()
-                .freeze_policy(FreezePolicy::HitRate(1.5))
-                .validate(),
-            Err(ConfigError::FreezeThresholdOutOfRange { threshold: 1.5 })
-        );
-        assert_eq!(
-            EngineConfig::default()
-                .cache_capacity(0)
-                .freeze_policy(FreezePolicy::HitRate(0.9))
-                .validate(),
-            Err(ConfigError::HitRateFreezeWithoutCache)
-        );
-        // Capacity 0 on its own is legal: it is the exact-measurement baseline.
+    fn cacheless_and_live_graph_configs_validate() {
+        // Capacity 0 is the exact-measurement baseline and frozen(false) the
+        // live-graph baseline; neither contradicts anything on its own.
         assert_eq!(EngineConfig::default().cache_capacity(0).validate(), Ok(()));
+        assert_eq!(EngineConfig::default().frozen(false).validate(), Ok(()));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use faultline_failure::{ChurnEvent, ChurnSchedule, RegionFailure};
 use faultline_overlay::{ChurnDelta, NodeId};
 use faultline_routing::ByzantineSet;
 use faultline_sim::{seed_for_trial, trial_rng};
-use faultline_telemetry::{EventKind, Phase, PhaseNanos};
+use faultline_telemetry::{EventKind, PhaseNanos};
 use faultline_theory::ConnectivityOracle;
 use rand::Rng;
 use std::time::Instant;
@@ -130,9 +130,8 @@ impl ChurnMix {
 /// Snapshot maintenance performed during one epoch of an interleaved run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SnapshotWork {
-    /// Nanoseconds spent compiling the snapshot from scratch (the first epoch, any
-    /// epoch after an adaptive skip, and every epoch when incremental maintenance is
-    /// disabled).
+    /// Nanoseconds spent compiling the snapshot from scratch (the first epoch, and
+    /// every epoch when incremental maintenance is disabled).
     pub rebuild_nanos: u64,
     /// Nanoseconds spent patching the snapshot with the epoch's churn blast radius
     /// (delta-apply time in the default mode, touched-list recompute time in
@@ -149,8 +148,7 @@ pub struct SnapshotWork {
     /// blast radius crossed the rebuild threshold (graceful degradation, not the
     /// scheduled `rebuild_nanos` recompile).
     pub fallback_rebuild: bool,
-    /// Whether the epoch ran without any snapshot (frozen path disabled, or the
-    /// adaptive policy judged the cache warm enough to skip it).
+    /// Whether the epoch ran without any snapshot (frozen path disabled).
     pub skipped: bool,
 }
 
@@ -488,10 +486,9 @@ impl QueryEngine {
     /// row-level cache invalidation
     /// ([`QueryEngine::invalidate_delta`](crate::QueryEngine::invalidate_delta);
     /// [`EngineConfig::row_invalidation`](crate::EngineConfig::row_invalidation)
-    /// `(false)` restores the bucket-mask flush), and an adaptive freeze policy
-    /// ([`EngineConfig::freeze_policy`](crate::EngineConfig::freeze_policy))
-    /// drops the snapshot entirely for epochs whose cache is warm enough to starve
-    /// the uncached path. Per-epoch maintenance work is reported in
+    /// `(false)` restores the bucket-mask flush). The snapshot
+    /// [`QueryEngine::run_batch`] keeps is dropped when the run starts, so the
+    /// engine never holds two. Per-epoch maintenance work is reported in
     /// [`EpochReport::snapshot`].
     ///
     /// Queries are drawn uniformly (honest-endpoint uniform when the byzantine
@@ -555,6 +552,9 @@ impl QueryEngine {
         let failure_schedule = self.config().failures_config().cloned();
         let mut downed = DownedSet::default();
         let mut reports = Vec::with_capacity(epochs);
+        // The runner mutates the network, so the batch snapshot would go stale;
+        // release it before compiling the runner's own.
+        self.drop_snapshot();
         let mut snapshot: Option<FrozenView> = None;
         for epoch in 0..epochs {
             // Stamp ring events with the epoch, and bracket the epoch's phase
@@ -588,27 +588,13 @@ impl QueryEngine {
             });
 
             let mut work = SnapshotWork::default();
-            if self.snapshot_worthwhile(queries_per_epoch) {
-                if snapshot.is_none() {
-                    // xlint: allow(determinism) -- rebuild cost feeds the adaptive-freeze EWMA and the epoch report; proptest-pinned not to change outcomes
-                    let started = Instant::now();
-                    snapshot = Some(
-                        self.note_snapshot_built(
-                            self.routing_view(network)
-                                .freeze()
-                                .with_kernel(self.kernel()),
-                        ),
-                    );
-                    work.rebuild_nanos = started.elapsed().as_nanos() as u64;
-                    self.observe_freeze_nanos(work.rebuild_nanos as f64);
-                    self.telemetry()
-                        .record_phase(Phase::Freeze, work.rebuild_nanos);
-                }
-            } else {
-                // Frozen path disabled or adaptively skipped: route misses (if any)
-                // over the live graph and stop maintaining the stale snapshot.
-                snapshot = None;
+            if !self.config().frozen_enabled() {
+                // Frozen path disabled: route misses (if any) over the live graph.
                 work.skipped = true;
+            } else if snapshot.is_none() {
+                let (view, nanos) = self.freeze(network);
+                snapshot = Some(view);
+                work.rebuild_nanos = nanos;
             }
 
             let batch_seed = seed_for_trial(master_seed, epoch as u64);

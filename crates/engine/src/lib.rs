@@ -12,8 +12,10 @@
 //!   is assigned to a shard by its source bucket, and each shard owns a private route
 //!   cache and processes its queries in a fixed order. No locks are taken on the hot
 //!   path, and results are bit-for-bit identical at any thread count.
-//! * **Compiled snapshots** — each batch freezes the overlay into a CSR
-//!   [`FrozenView`](faultline_core::FrozenView) once and routes every cache miss
+//! * **Compiled snapshots** — the engine freezes the overlay into a CSR
+//!   [`FrozenView`](faultline_core::FrozenView) once per topology stamp
+//!   ([`Network::topology_stamp`](faultline_core::Network::topology_stamp)), keeps
+//!   it across batches until the stamp changes, and routes every cache miss
 //!   through the zero-allocation frozen kernel (contiguous `u32` neighbour scans,
 //!   inlined distance, per-worker scratch buffers, counter-based per-query RNG); the
 //!   live-graph walk remains available via [`EngineConfig::frozen`] as the baseline.
@@ -28,14 +30,13 @@
 //!   epochs with `faultline_failure` churn events and the Section 5 maintenance
 //!   heuristic (`Network::join`/`leave`), measuring throughput and success rate *while*
 //!   the network repairs itself — the paper's fault-tolerance claim at traffic scale.
-//!   One snapshot persists across epochs and is **incrementally patched** from each
-//!   epoch's merged [`ChurnDelta`] — maintainer-captured row diffs written straight
-//!   into the snapshot, O(changed rows) with no usable-neighbour recompute;
+//!   Like [`QueryEngine::run_batch`], the runner freezes once per topology stamp:
+//!   it compiles one snapshot at its first epoch and, as each epoch's churn moves
+//!   the stamp, **incrementally patches** it from the epoch's merged
+//!   [`ChurnDelta`] instead of refreezing — maintainer-captured row diffs written
+//!   straight into the snapshot, O(changed rows) with no usable-neighbour recompute;
 //!   [`EngineConfig::maintenance`] selects the touched-list recompute or
-//!   rebuild-per-epoch baselines ([`SnapshotMaintenance`]), and
-//!   [`EngineConfig::freeze_policy`] ([`FreezePolicy`]) skips snapshot work when
-//!   the cache is warm enough to starve the uncached path (`Auto` derives its
-//!   threshold from the engine's own freeze-cost and per-miss measurements).
+//!   rebuild-per-epoch baselines ([`SnapshotMaintenance`]).
 //!   [`QueryEngine::run_interleaved_with`] accepts a caller-supplied workload
 //!   callback ([`EpochWorkload`]) so skewed traffic — the scenario DSL's Zipf,
 //!   hotspot, flash-crowd, and diurnal generators — drives the same pipeline.
@@ -110,8 +111,7 @@ pub use cache::{
     bucket_of, buckets_mask, buckets_mask_u32, CachedRoute, RouteCache, RowSet, NUM_BUCKETS,
 };
 pub use config::{
-    ByzantineConfig, ByzantineMembership, ConfigError, EngineConfig, FreezePolicy,
-    SnapshotMaintenance,
+    ByzantineConfig, ByzantineMembership, ConfigError, EngineConfig, SnapshotMaintenance,
 };
 pub use failures::{FailureEvent, FailureSchedule, FailureWork, SurvivabilitySplit};
 pub use interleave::{ChurnMix, EpochReport, EpochWorkload, InterleavedReport, SnapshotWork};

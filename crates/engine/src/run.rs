@@ -2,7 +2,7 @@
 
 use crate::batch::QueryBatch;
 use crate::cache::{bucket_of, buckets_mask, buckets_mask_u32, CachedRoute, RouteCache, RowSet};
-use crate::config::{ByzantineMembership, EngineConfig, FreezePolicy};
+use crate::config::{ByzantineMembership, EngineConfig};
 use crate::stats::{BatchReport, QueryOutcome};
 use faultline_core::{FrozenView, Network, NetworkView};
 use faultline_overlay::{ChurnDelta, NodeId};
@@ -27,24 +27,17 @@ use std::time::Instant;
 /// Caches persist across batches so steady-state traffic sees realistic hit rates; the
 /// churn layer invalidates them via [`QueryEngine::invalidate_nodes`] (done
 /// automatically by [`QueryEngine::run_interleaved`](crate::QueryEngine::run_interleaved)).
+/// The compiled snapshot persists too, keyed by the network's topology stamp, so
+/// [`QueryEngine::run_batch`] freezes once per topology rather than once per batch.
 #[derive(Debug)]
 pub struct QueryEngine {
     config: EngineConfig,
     pool: rayon::ThreadPool,
     caches: Vec<RouteCache>,
-    /// Cache hit rate of the most recent batch (None before any cached batch ran);
-    /// the adaptive snapshot policy reads it to predict the next batch's miss volume.
-    last_hit_rate: Option<f64>,
+    /// The snapshot `run_batch` last compiled, with the
+    /// [`Network::topology_stamp`] of the topology it froze.
+    snapshot: Option<(u64, FrozenView)>,
     snapshots_built: u64,
-    /// EWMA of measured snapshot-compile cost in nanoseconds (None before the first
-    /// timed freeze). One side of the auto adaptive-freeze ratio.
-    freeze_nanos_est: Option<f64>,
-    /// EWMA of per-miss routing cost through the frozen kernel (ns/query).
-    frozen_miss_nanos_est: Option<f64>,
-    /// EWMA of per-miss routing cost over the live graph (ns/query) — measured
-    /// whenever a batch runs without a snapshot (frozen disabled or adaptively
-    /// skipped). The other side of the auto ratio.
-    live_miss_nanos_est: Option<f64>,
     /// Resolved adversary membership (None until the byzantine lane first routes over
     /// a network, or forever on honest engines). Churn epochs mutate it: departing
     /// Byzantine nodes shrink it, joining nodes are marked (or cleared) by the mix.
@@ -61,31 +54,6 @@ pub struct QueryEngine {
 /// Clamps a count into an event-ring payload.
 pub(crate) fn saturate_u32(value: u64) -> u32 {
     u32::try_from(value).unwrap_or(u32::MAX)
-}
-
-/// Assumed live-over-frozen per-miss cost ratio used by the auto adaptive-freeze
-/// policy before it has measured the live path itself (the frozen kernel's measured
-/// uncached speedup hovers between 4x and 5x — see `frozen_speedup` in
-/// `BENCH_engine.json`; assuming the low end keeps the bootstrap conservative).
-const ASSUMED_FROZEN_GAIN: f64 = 4.0;
-
-/// The auto adaptive-freeze decision: is compiling a snapshot worth it for a batch
-/// expected to route `expected_misses` queries through it?
-///
-/// `freeze_nanos` and `frozen_miss_nanos` are the engine's measured freeze cost and
-/// per-miss frozen-kernel cost; `live_miss_nanos` is the measured per-miss live-graph
-/// cost when available (the engine only measures it after its first skip, so the
-/// bootstrap substitutes `frozen × ASSUMED_FROZEN_GAIN`). The freeze pays off when
-/// the misses' aggregate saving covers the compile.
-fn freeze_pays_off(
-    freeze_nanos: f64,
-    frozen_miss_nanos: f64,
-    live_miss_nanos: Option<f64>,
-    expected_misses: f64,
-) -> bool {
-    let live = live_miss_nanos.unwrap_or(frozen_miss_nanos * ASSUMED_FROZEN_GAIN);
-    let gain_per_miss = (live - frozen_miss_nanos).max(0.0);
-    expected_misses * gain_per_miss >= freeze_nanos
 }
 
 /// Per-batch byzantine apparatus shared (read-only) by every shard worker.
@@ -134,11 +102,8 @@ impl QueryEngine {
             config,
             pool,
             caches,
-            last_hit_rate: None,
+            snapshot: None,
             snapshots_built: 0,
-            freeze_nanos_est: None,
-            frozen_miss_nanos_est: None,
-            live_miss_nanos_est: None,
             adversaries: None,
             telemetry,
             kernel,
@@ -264,34 +229,31 @@ impl QueryEngine {
         }
     }
 
-    /// Snapshots the engine has compiled so far (freezes, not patches) — observable
-    /// evidence for the adaptive policy's skip decisions.
+    /// Snapshots the engine has compiled so far (freezes, not patches or reuses):
+    /// one per distinct topology [`QueryEngine::run_batch`] routed, plus the
+    /// interleaved runner's own freezes.
     #[must_use]
     pub fn snapshots_built(&self) -> u64 {
         self.snapshots_built
     }
 
-    /// Counts a freshly compiled snapshot and hands it back (used by the interleaved
-    /// runner, whose snapshots are built outside [`QueryEngine::run_batch`]).
-    pub(crate) fn note_snapshot_built(&mut self, view: FrozenView) -> FrozenView {
+    /// Compiles a snapshot of `network` for this engine's routing view and kernel,
+    /// counting it and recording its cost in the `freeze` phase. Returns the view
+    /// and the nanoseconds the compile took.
+    pub(crate) fn freeze(&mut self, network: &Network) -> (FrozenView, u64) {
         self.snapshots_built += 1;
-        view
+        // xlint: allow(determinism) -- freeze cost feeds telemetry and epoch reports only; query results never depend on it
+        let started = Instant::now();
+        let view = self.routing_view(network).freeze().with_kernel(self.kernel);
+        let nanos = started.elapsed().as_nanos() as u64;
+        self.telemetry.record_phase(Phase::Freeze, nanos);
+        (view, nanos)
     }
 
-    /// Feeds a measured snapshot-compile time into the auto adaptive-freeze estimate.
-    pub(crate) fn observe_freeze_nanos(&mut self, nanos: f64) {
-        self.freeze_nanos_est = Some(ewma(self.freeze_nanos_est, nanos));
-    }
-
-    /// Feeds a batch's measured per-miss routing cost into the frozen or live
-    /// estimate (whichever path the misses actually took).
-    fn observe_miss_nanos(&mut self, frozen: bool, nanos: f64) {
-        let estimate = if frozen {
-            &mut self.frozen_miss_nanos_est
-        } else {
-            &mut self.live_miss_nanos_est
-        };
-        *estimate = Some(ewma(*estimate, nanos));
+    /// Drops the snapshot held for [`QueryEngine::run_batch`] (used by the
+    /// interleaved runner, which maintains its own, so the engine never holds two).
+    pub(crate) fn drop_snapshot(&mut self) {
+        self.snapshot = None;
     }
 
     /// The routing view the engine's batches run over (hop-budget override applied).
@@ -365,63 +327,30 @@ impl QueryEngine {
         }
     }
 
-    /// Whether the next batch — expected to run `upcoming_queries` lookups — should
-    /// be routed through a compiled snapshot: the fast path must be enabled, and the
-    /// adaptive policy (if any) must judge the freeze worthwhile. The fixed policy
-    /// compares the previous batch's cache hit rate against its threshold (a
-    /// near-fully warm cache leaves too few misses to amortise snapshot work); the
-    /// auto policy compares predicted miss volume × measured per-miss gain against
-    /// the measured freeze cost, and always freezes until it has measured both.
-    pub(crate) fn snapshot_worthwhile(&self, upcoming_queries: usize) -> bool {
-        if !self.config.frozen_enabled() {
-            return false;
-        }
-        match self.config.freeze_policy_mode() {
-            FreezePolicy::Always => true,
-            FreezePolicy::Auto => match (self.freeze_nanos_est, self.frozen_miss_nanos_est) {
-                (Some(freeze), Some(frozen_miss)) => {
-                    let hit_rate = self.last_hit_rate.unwrap_or(0.0);
-                    let expected_misses = upcoming_queries as f64 * (1.0 - hit_rate);
-                    freeze_pays_off(
-                        freeze,
-                        frozen_miss,
-                        self.live_miss_nanos_est,
-                        expected_misses,
-                    )
-                }
-                // Bootstrap: freeze until both sides of the ratio are measured.
-                _ => true,
-            },
-            FreezePolicy::HitRate(threshold) => match self.last_hit_rate {
-                Some(rate) => rate < threshold,
-                None => true,
-            },
-        }
-    }
-
     /// Executes a batch of lookups in parallel and reports per-query outcomes plus
     /// aggregate statistics. See the crate docs for the execution model.
     ///
-    /// Compiles the routing snapshot once per batch: O(nodes + links), amortised over
-    /// every cache miss in the batch (skipped entirely when the adaptive policy
-    /// predicts the cache will absorb the batch).
+    /// Freezes once per topology: the compiled snapshot (O(nodes + links)) is kept
+    /// between calls, keyed by [`Network::topology_stamp`], and reused for as long as
+    /// the stamp matches. A changed stamp drops the old snapshot before the new one
+    /// is compiled, so the engine never holds two.
     pub fn run_batch(&mut self, network: &Network, batch: &QueryBatch) -> BatchReport {
-        // Config is validated at construction; re-assert per batch so a future
-        // mutable-config path cannot silently route a contradictory setup. The
-        // check is a handful of comparisons — noise next to the batch itself.
-        let validation = self.config.validate();
-        assert!(validation.is_ok(), "invalid EngineConfig: {validation:?}");
-        let frozen = self.snapshot_worthwhile(batch.len()).then(|| {
-            self.snapshots_built += 1;
-            // xlint: allow(determinism) -- freeze-cost reading feeds telemetry and the adaptive-freeze EWMA, whose outcomes are proptest-pinned identical to eager freezing; query results never depend on it
-            let started = Instant::now();
-            let view = self.routing_view(network).freeze().with_kernel(self.kernel);
-            let nanos = started.elapsed().as_nanos() as u64;
-            self.observe_freeze_nanos(nanos as f64);
-            self.telemetry.record_phase(Phase::Freeze, nanos);
-            view
-        });
-        self.run_batch_with_snapshot(network, batch, frozen.as_ref())
+        if !self.config.frozen_enabled() {
+            return self.run_batch_with_snapshot(network, batch, None);
+        }
+        let stamp = network.topology_stamp();
+        let held = match self.snapshot.take() {
+            Some((held_stamp, view)) if held_stamp == stamp => view,
+            stale => {
+                // Release the stale snapshot before compiling its successor, so the
+                // engine never holds two.
+                drop(stale);
+                self.freeze(network).0
+            }
+        };
+        let report = self.run_batch_with_snapshot(network, batch, Some(&held));
+        self.snapshot = Some((stamp, held));
+        report
     }
 
     /// Executes a batch over a caller-owned snapshot (or the live graph when `None`).
@@ -526,6 +455,8 @@ impl QueryEngine {
                     let mut scratch = RouteScratch::new()
                         .with_path_recording(cache.enabled() && byzantine.is_none())
                         .with_kernel(kernel);
+                    // Likewise one row-dependency buffer per worker for cache misses.
+                    let mut deps: Vec<u32> = Vec::new();
                     output.reserve_exact(indices.len());
                     for &index in indices {
                         let (source, target) = batch.pairs()[index];
@@ -545,6 +476,7 @@ impl QueryEngine {
                                 frozen,
                                 cache,
                                 &mut scratch,
+                                &mut deps,
                                 n,
                                 batch.seed(),
                                 index,
@@ -572,35 +504,7 @@ impl QueryEngine {
             // xlint: allow(panic_policy) -- shard partitioning is exhaustive by construction (every index lands in exactly one shard slice); a gap is a bug worth crashing on, not a recoverable state
             .map(|o| o.expect("every query is either pre-failed or routed by one shard"))
             .collect();
-        let is_byzantine = byzantine.is_some();
-        let report = BatchReport::with_mode(outcomes, wall, self.threads(), is_byzantine);
-        // Byzantine batches never consult the cache, so their 0% hit rate says
-        // nothing the adaptive snapshot policy should act on.
-        if caching && !is_byzantine && report.queries() > 0 {
-            self.last_hit_rate = Some(report.cache_hits() as f64 / report.queries() as f64);
-        }
-        // Feed the auto adaptive-freeze policy: mean per-miss routing cost on
-        // whichever path (frozen kernel or live graph) this batch's misses took.
-        if !is_byzantine {
-            let (sum, count) = report
-                .outcomes()
-                .iter()
-                .filter(|o| !o.cached && o.attempts > 0)
-                .fold((0u64, 0u64), |(s, c), o| (s + o.nanos, c + 1));
-            if count > 0 {
-                self.observe_miss_nanos(frozen.is_some(), sum as f64 / count as f64);
-            }
-        }
-        report
-    }
-}
-
-/// Exponential moving average with α = 1/2: responsive to drift (a network that
-/// doubled in size after churn) while damping single-batch timer noise.
-fn ewma(previous: Option<f64>, observation: f64) -> f64 {
-    match previous {
-        Some(prev) => (prev + observation) / 2.0,
-        None => observation,
+        BatchReport::with_mode(outcomes, wall, self.threads(), byzantine.is_some())
     }
 }
 
@@ -625,12 +529,15 @@ fn diversified(router: Router) -> Router {
 /// that many more times, each attempt with a seed derived from `(batch seed, query
 /// index, attempt)` and a diversified strategy ([`diversified`]) — deterministic at
 /// any thread count, like the first attempt.
+///
+/// `deps` is the worker's reusable row-dependency buffer; it is cleared here.
 #[allow(clippy::too_many_arguments)]
 fn route_one(
     view: NetworkView<'_>,
     frozen: Option<&FrozenView>,
     cache: &mut RouteCache,
     scratch: &mut RouteScratch,
+    deps: &mut Vec<u32>,
     n: u64,
     batch_seed: u64,
     index: usize,
@@ -662,7 +569,7 @@ fn route_one(
     // mask only matter to a cache entry; both are skipped on the uncached hot path.
     // Retries accumulate into the same dependency set: every attempt's walk is a
     // row dependency of the final cached digest.
-    let mut deps: Vec<u32> = Vec::new();
+    deps.clear();
     let mut touched = endpoint_bits;
     let mut total_hops = 0u64;
     let mut attempts = 0u32;
@@ -741,7 +648,7 @@ fn route_one(
             recoveries,
             touched,
         },
-        &deps,
+        deps,
         volatile,
     );
     QueryOutcome {
@@ -983,20 +890,6 @@ mod tests {
         assert!(!report.outcomes()[0].delivered);
         assert!(!report.outcomes()[1].delivered);
         assert!(report.outcomes()[2].delivered);
-    }
-
-    #[test]
-    fn freeze_pays_off_weighs_miss_volume_against_compile_cost() {
-        // 1 ms freeze, 200 ns/miss frozen vs 1000 ns/miss live: break-even at 1250
-        // misses.
-        assert!(!freeze_pays_off(1_000_000.0, 200.0, Some(1_000.0), 1_000.0));
-        assert!(freeze_pays_off(1_000_000.0, 200.0, Some(1_000.0), 2_000.0));
-        // No live measurement yet: the bootstrap assumes a conservative 4x gain
-        // (200 → 800 ns/miss, gain 600): break-even at ~1667 misses.
-        assert!(!freeze_pays_off(1_000_000.0, 200.0, None, 1_500.0));
-        assert!(freeze_pays_off(1_000_000.0, 200.0, None, 2_000.0));
-        // A live path measured no slower than the frozen one leaves nothing to win.
-        assert!(!freeze_pays_off(1.0, 500.0, Some(400.0), 1_000_000.0));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use faultline_core::{ConstructionMode, Network, NetworkConfig};
 use faultline_engine::{
-    ChurnMix, EngineConfig, EpochReport, FreezePolicy, QueryBatch, QueryEngine, SnapshotMaintenance,
+    BatchReport, ChurnMix, EngineConfig, EpochReport, QueryBatch, QueryEngine, SnapshotMaintenance,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -97,37 +97,38 @@ fn all_three_maintenance_modes_report_identical_epochs() {
     assert!(delta_epochs.iter().any(|e| e.snapshot.rows_in_place > 0));
 }
 
+/// A freshly compiled snapshot of `net` for `engine`: routing through it is the
+/// freeze-every-batch behaviour that snapshot reuse must reproduce.
+fn fresh_snapshot(engine: &QueryEngine, net: &Network) -> faultline_core::FrozenView {
+    net.view().freeze().with_kernel(engine.kernel())
+}
+
+fn fingerprint(report: &BatchReport) -> Vec<(u64, u64, bool, u64, bool)> {
+    report
+        .outcomes()
+        .iter()
+        .map(|o| (o.source, o.target, o.delivered, o.hops, o.cached))
+        .collect()
+}
+
 #[test]
-fn auto_adaptive_freeze_never_changes_outcomes() {
-    // The auto policy's skip decisions depend on wall-clock measurements, so *which*
-    // batches get a snapshot is machine-dependent — but outcomes must be identical
-    // either way (frozen and live routing agree bit for bit), and the engine must
-    // still bootstrap by freezing its first batch.
+fn reused_snapshot_never_changes_outcomes() {
+    // A long-lived engine freezes its first batch and reuses that snapshot for
+    // every later batch on the unchanged network. Its twin routes each batch
+    // through a snapshot compiled just for it; the two caches evolve in step, so
+    // every batch must agree outcome for outcome.
     let net = incremental_network(512, 15);
-    let mut auto = QueryEngine::new(
-        EngineConfig::default()
-            .threads(2)
-            .cache_capacity(2048)
-            .freeze_policy(FreezePolicy::Auto),
-    );
-    let mut eager = QueryEngine::new(EngineConfig::default().threads(2).cache_capacity(2048));
+    let config = EngineConfig::default().threads(2).cache_capacity(2048);
+    let mut reused = QueryEngine::new(config.clone());
+    let mut eager = QueryEngine::new(config);
     let batch = QueryBatch::uniform(&net, 3_000, 33);
-    let fp = |r: &faultline_engine::BatchReport| {
-        r.outcomes()
-            .iter()
-            .map(|o| (o.source, o.target, o.delivered, o.hops, o.cached))
-            .collect::<Vec<_>>()
-    };
     for _ in 0..4 {
-        let a = auto.run_batch(&net, &batch);
-        let e = eager.run_batch(&net, &batch);
-        assert_eq!(fp(&a), fp(&e), "auto skips must not change outcomes");
+        let r = reused.run_batch(&net, &batch);
+        let fresh = fresh_snapshot(&eager, &net);
+        let e = eager.run_batch_with_snapshot(&net, &batch, Some(&fresh));
+        assert_eq!(fingerprint(&r), fingerprint(&e), "reuse changed outcomes");
     }
-    assert!(
-        auto.snapshots_built() >= 1,
-        "the auto policy freezes until it has measured both ratio sides"
-    );
-    assert!(auto.snapshots_built() <= eager.snapshots_built());
+    assert_eq!(reused.snapshots_built(), 1, "one topology, one freeze");
 }
 
 #[test]
@@ -196,20 +197,14 @@ fn fraction_churn_tracks_the_shrinking_population() {
 }
 
 #[test]
-fn adaptive_policy_skips_snapshot_work_on_a_warm_cache() {
+fn warm_cache_batches_reuse_one_snapshot() {
     let net = incremental_network(512, 11);
     let batch = QueryBatch::uniform(&net, 4_000, 21);
-    // The skip decision for batch k uses batch k-1's hit rate, so the threshold must
-    // sit below even the cold batch's (within-batch repeats hit the cache).
-    let mut adaptive = QueryEngine::new(
-        EngineConfig::default()
-            .threads(2)
-            .cache_capacity(4096)
-            .freeze_policy(FreezePolicy::HitRate(0.05)),
-    );
-    let cold = adaptive.run_batch(&net, &batch);
+    let config = EngineConfig::default().threads(2).cache_capacity(4096);
+    let mut reused = QueryEngine::new(config.clone());
+    let cold = reused.run_batch(&net, &batch);
     assert_eq!(
-        adaptive.snapshots_built(),
+        reused.snapshots_built(),
         1,
         "cold batch compiles a snapshot"
     );
@@ -217,49 +212,60 @@ fn adaptive_policy_skips_snapshot_work_on_a_warm_cache() {
         cold.cache_hits() as f64 / cold.queries() as f64 > 0.05,
         "4k uniform queries over 512 nodes must repeat bucket pairs"
     );
-    let warm = adaptive.run_batch(&net, &batch);
+    let warm = reused.run_batch(&net, &batch);
     assert!(
         warm.cache_hits() > warm.queries() / 2,
         "replaying the batch must hit the cache"
     );
     assert_eq!(
-        adaptive.snapshots_built(),
+        reused.snapshots_built(),
         1,
-        "a warm cache above the threshold must skip the freeze"
+        "an unchanged topology must reuse the snapshot"
     );
-    // The skip must not change results: the same batch on an always-freeze engine.
-    let mut eager = QueryEngine::new(EngineConfig::default().threads(2).cache_capacity(4096));
-    let cold_e = eager.run_batch(&net, &batch);
-    let warm_e = eager.run_batch(&net, &batch);
-    assert_eq!(eager.snapshots_built(), 2);
-    let fp = |r: &faultline_engine::BatchReport| {
-        r.outcomes()
-            .iter()
-            .map(|o| (o.delivered, o.hops, o.cached))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(fp(&cold), fp(&cold_e));
-    assert_eq!(fp(&warm), fp(&warm_e));
+    // Reuse must not change results: the same batches, each routed through a
+    // snapshot compiled for it.
+    let mut eager = QueryEngine::new(config);
+    let fresh = fresh_snapshot(&eager, &net);
+    let cold_e = eager.run_batch_with_snapshot(&net, &batch, Some(&fresh));
+    let fresh = fresh_snapshot(&eager, &net);
+    let warm_e = eager.run_batch_with_snapshot(&net, &batch, Some(&fresh));
+    assert_eq!(
+        eager.snapshots_built(),
+        0,
+        "caller-owned snapshots are not counted"
+    );
+    assert_eq!(fingerprint(&cold), fingerprint(&cold_e));
+    assert_eq!(fingerprint(&warm), fingerprint(&warm_e));
 }
 
 #[test]
-fn adaptive_interleave_marks_skipped_epochs() {
-    let mut net = incremental_network(512, 13);
-    let mut engine = QueryEngine::new(
-        EngineConfig::default()
-            .threads(2)
-            .cache_capacity(8192)
-            .freeze_policy(FreezePolicy::HitRate(0.05)),
-    );
-    // Tiny churn + replayed-scale batches: hit rate climbs fast, so later epochs must
-    // cross the (deliberately low) threshold and skip snapshot maintenance.
-    let report = engine.run_interleaved(&mut net, 5, 3_000, ChurnMix::balanced(2), 3);
+fn live_graph_interleave_marks_every_epoch_skipped() {
+    let run = |frozen: bool| {
+        let mut net = incremental_network(512, 13);
+        let mut engine = QueryEngine::new(
+            EngineConfig::default()
+                .threads(2)
+                .cache_capacity(8192)
+                .frozen(frozen),
+        );
+        let report = engine.run_interleaved(&mut net, 5, 3_000, ChurnMix::balanced(2), 3);
+        (engine.snapshots_built(), report)
+    };
+    let (live_built, live) = run(false);
+    let (frozen_built, frozen) = run(true);
     assert!(
-        report.epochs().iter().any(|e| e.snapshot.skipped),
-        "an almost-static overlay must eventually skip the snapshot"
+        live.epochs().iter().all(|e| e.snapshot.skipped),
+        "with the frozen path off no epoch has a snapshot"
+    );
+    assert!(frozen.epochs().iter().all(|e| !e.snapshot.skipped));
+    assert_eq!((live_built, frozen_built), (0, 1));
+    assert_eq!(
+        digest(live.epochs()),
+        digest(frozen.epochs()),
+        "routing the live graph must not change any epoch"
     );
     assert!(
-        report.overall_success_rate() > 0.9,
+        live.overall_success_rate() > 0.9,
         "skipping the snapshot must not hurt delivery"
     );
 }

@@ -106,7 +106,7 @@ fn merged_snapshot_counters_are_thread_count_invariant() {
             "per-kind event totals diverged at {threads} threads"
         );
         // Phase *timings* differ run to run; phase *counts* that are driven by the
-        // workload (one freeze per batch) must not.
+        // workload (one freeze per topology) must not.
         assert_eq!(
             baseline.phase(Phase::Freeze).count(),
             other.phase(Phase::Freeze).count()

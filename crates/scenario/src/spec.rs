@@ -34,7 +34,6 @@
 //! | | `max_hops` | integer | engine default |
 //! | | `frozen`, `row_invalidation`, `telemetry` | boolean | engine defaults |
 //! | | `maintenance` | `"delta"` / `"touched-list"` / `"rebuild"` | `"delta"` |
-//! | | `freeze` | `"always"` / `"auto"` / float threshold | `"always"` |
 //! | `[byzantine]` | `fraction` | float | *(required in section)* |
 //! | | `seed` | integer | scenario seed `^ 0xB52A` |
 //! | | `redundancy` | integer | engine default |
@@ -51,8 +50,8 @@ use crate::skew::QuerySkew;
 use crate::toml::{self, Document, Entry, Section, Value};
 use faultline_core::{ConstructionMode, Network, NetworkConfig};
 use faultline_engine::{
-    ByzantineConfig, ChurnMix, EngineConfig, FailureEvent, FailureSchedule, FreezePolicy,
-    InterleavedReport, QueryEngine, SnapshotMaintenance,
+    ByzantineConfig, ChurnMix, EngineConfig, FailureEvent, FailureSchedule, InterleavedReport,
+    QueryEngine, SnapshotMaintenance,
 };
 use faultline_routing::FaultStrategy;
 use rand::rngs::StdRng;
@@ -133,8 +132,6 @@ pub struct EngineSpec {
     pub frozen: Option<bool>,
     /// Snapshot maintenance mode across epochs.
     pub maintenance: Option<SnapshotMaintenance>,
-    /// When to skip snapshot work.
-    pub freeze: Option<FreezePolicy>,
     /// Row-level cache invalidation (`false` = bucket-mask flush baseline).
     pub row_invalidation: Option<bool>,
     /// Telemetry recording.
@@ -280,7 +277,7 @@ impl ScenarioSpec {
     ///
     /// [`ScenarioError::Config`] when
     /// [`EngineConfig::validate_for_epochs`] rejects the assembled whole (shard
-    /// bounds, freeze-threshold domain, byzantine domain, schedule length vs the
+    /// bounds, byzantine domain, schedule length vs the
     /// run's epochs).
     pub fn into_engine_config(self) -> Result<EngineConfig, ScenarioError> {
         let mut config = EngineConfig::default();
@@ -301,9 +298,6 @@ impl ScenarioSpec {
         }
         if let Some(maintenance) = self.engine.maintenance {
             config = config.maintenance(maintenance);
-        }
-        if let Some(freeze) = self.engine.freeze {
-            config = config.freeze_policy(freeze);
         }
         if let Some(enabled) = self.engine.row_invalidation {
             config = config.row_invalidation(enabled);
@@ -455,19 +449,6 @@ impl ScenarioSpec {
                     SnapshotMaintenance::Rebuild => "rebuild",
                 };
                 let _ = writeln!(out, "maintenance = \"{label}\"");
-            }
-            if let Some(freeze) = self.engine.freeze {
-                match freeze {
-                    FreezePolicy::Always => {
-                        let _ = writeln!(out, "freeze = \"always\"");
-                    }
-                    FreezePolicy::Auto => {
-                        let _ = writeln!(out, "freeze = \"auto\"");
-                    }
-                    FreezePolicy::HitRate(threshold) => {
-                        let _ = writeln!(out, "freeze = {threshold:?}");
-                    }
-                }
             }
             if let Some(enabled) = self.engine.row_invalidation {
                 let _ = writeln!(out, "row_invalidation = {enabled}");
@@ -991,7 +972,6 @@ fn parse_engine(document: &Document) -> Result<EngineSpec, ScenarioError> {
             "max_hops",
             "frozen",
             "maintenance",
-            "freeze",
             "row_invalidation",
             "telemetry",
         ],
@@ -1015,23 +995,6 @@ fn parse_engine(document: &Document) -> Result<EngineSpec, ScenarioError> {
                     entry,
                     "must be \"delta\", \"touched-list\", or \"rebuild\"",
                 )),
-            })
-            .transpose()?,
-        freeze: section
-            .get("freeze")
-            .map(|entry| match &entry.value {
-                Value::String(s) => match s.as_str() {
-                    "always" => Ok(FreezePolicy::Always),
-                    "auto" => Ok(FreezePolicy::Auto),
-                    _ => Err(invalid(
-                        entry,
-                        "must be \"always\", \"auto\", or a hit-rate threshold in [0, 1]",
-                    )),
-                },
-                Value::Float(_) | Value::Integer(_) => {
-                    Ok(FreezePolicy::HitRate(expect_unit_fraction(entry)?))
-                }
-                other => Err(mismatch(entry, "string or float", other)),
             })
             .transpose()?,
         row_invalidation: section

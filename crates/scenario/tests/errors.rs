@@ -73,6 +73,21 @@ fn fire_unknown_key() {
 }
 
 #[test]
+fn fire_retired_freeze_key() {
+    // The engine freezes once per topology, so the freeze-policy key is gone;
+    // an old file naming it is told so at the key's line, not silently accepted.
+    let source = format!("{BASE}[engine]\nthreads = 2\nfreeze = \"auto\"\n");
+    assert_eq!(
+        ScenarioSpec::parse(&source),
+        Err(ScenarioError::UnknownKey {
+            line: 10,
+            section: "engine".into(),
+            key: "freeze".into(),
+        })
+    );
+}
+
+#[test]
 fn fire_duplicate_key_and_section() {
     let duplicate_key = concat!("[scenario]\n", "name = \"x\"\n", "seed = 1\n", "seed = 2\n",);
     assert_eq!(

@@ -4,7 +4,7 @@
 //! round-trip is what makes scenario files diffable artifacts rather than
 //! write-only input.
 
-use faultline_engine::{FailureEvent, FreezePolicy, SnapshotMaintenance};
+use faultline_engine::{FailureEvent, SnapshotMaintenance};
 use faultline_routing::FaultStrategy;
 use faultline_scenario::{
     ByzantineSpec, ChurnSpec, ChurnVolume, EngineSpec, FailureSpec, QuerySkew, ScenarioSpec,
@@ -69,7 +69,6 @@ fn kitchen_sink_spec_round_trips() {
         "max_hops = 200\n",
         "frozen = true\n",
         "maintenance = \"touched-list\"\n",
-        "freeze = 0.35\n",
         "row_invalidation = true\n",
         "telemetry = false\n",
         "[byzantine]\n",
@@ -103,7 +102,6 @@ fn kitchen_sink_spec_round_trips() {
         spec.engine.maintenance,
         Some(SnapshotMaintenance::TouchedList)
     );
-    assert_eq!(spec.engine.freeze, Some(FreezePolicy::HitRate(0.35)));
     assert_eq!(
         spec.byzantine,
         Some(ByzantineSpec {
