@@ -7,11 +7,11 @@
 //! `BENCH_engine.json` so future PRs have a throughput/latency trajectory to compare
 //! against.
 
-use faultline_core::routing::{KernelIsa, RouteScratch};
-use faultline_core::{ConstructionMode, FrozenView, Network, NetworkConfig};
+use faultline_core::routing::{KernelIsa, RouteResult, RouteScratch};
+use faultline_core::{ConstructionMode, Network, NetworkConfig};
 use faultline_engine::{
     BatchReport, ByzantineConfig, ChurnMix, EngineConfig, FailureSchedule, InterleavedReport,
-    MetricsSnapshot, Phase, QueryBatch, QueryEngine, SnapshotMaintenance,
+    MetricsSnapshot, Phase, QueryBatch, QueryEngine,
 };
 use faultline_routing::FaultStrategy;
 use faultline_sim::{seed_for_trial, Summary};
@@ -39,6 +39,12 @@ pub const STRETCH_TARGETS: usize = 16;
 /// engines cancels clock drift, and keeping the *best* reading per side converges
 /// on each engine's true ceiling (noise only ever subtracts throughput).
 pub const TELEMETRY_OVERHEAD_ROUNDS: usize = 3;
+
+/// Alternating frozen/live single-thread passes over the main batch behind the
+/// `frozen_speedup` reading, for the same reason as [`TELEMETRY_OVERHEAD_ROUNDS`]:
+/// both sides route the identical batch (digest-checked), so alternating and
+/// keeping each side's best throughput cancels clock drift.
+pub const FROZEN_SPEEDUP_ROUNDS: usize = 3;
 
 /// Alternating SIMD/scalar batch pairs on the kernel cell behind the
 /// `simd_speedup` reading, for the same reason as [`TELEMETRY_OVERHEAD_ROUNDS`]:
@@ -78,17 +84,15 @@ pub struct EngineBenchConfig {
     /// Fraction of the space churned per epoch (0.10 reproduces the headline number).
     pub churn_fraction: f64,
     /// Churn fraction for the dedicated snapshot-maintenance comparison (delta-apply
-    /// vs touched-list patch vs rebuild per epoch). Kept an order of magnitude below
+    /// per epoch vs a fresh freeze). Kept an order of magnitude below
     /// `churn_fraction`: light sustained churn is the regime incremental patching
     /// exists for — under the 10% stress churn the blast radius covers most rows and
     /// patching deliberately degrades to a rebuild.
     pub maintenance_churn_fraction: f64,
-    /// Churn fraction for the cache-invalidation comparison (row-level eviction vs
-    /// the old bucket bitmask). Kept another order of magnitude lighter still: this
-    /// is the steady-trickle regime where invalidation granularity decides the warm
-    /// hit rate — a 64-bit bucket mask saturates (flushes everything) once a few
-    /// dozen scattered nodes are touched, while row-level eviction keeps every walk
-    /// that dodged the blast radius.
+    /// Churn fraction for the cache-invalidation run (row-level eviction). Kept
+    /// another order of magnitude lighter still: this is the steady-trickle regime
+    /// where invalidation granularity decides the warm hit rate — row-level eviction
+    /// keeps every walk that dodged the blast radius.
     pub cache_churn_fraction: f64,
     /// Diversified walks per lookup in the byzantine phase (the redundancy factor).
     pub byzantine_redundancy: u32,
@@ -192,27 +196,47 @@ impl StretchReport {
     }
 }
 
-/// Times one pass of the kernel-cell batch through the frozen route path
-/// (`FrozenView::route_seeded`, the same call the engine's uncached frozen walk
-/// bottoms out in) and returns `(queries per second, outcome digest)`. The
-/// digest folds every route's hops/delivery/recoveries so a scalar/SIMD
-/// divergence is detected without storing per-query results.
-fn time_kernel_cell(
-    view: &FrozenView,
+/// Times one single-threaded pass of `batch` through `route`, called with each
+/// query's `(source, target, seed)` under the engine's per-query seed derivation,
+/// and returns `(queries per second, outcome digest)`. The digest folds every
+/// route's hops/delivery/recoveries so a divergence between two sides of an A/B is
+/// detected without storing per-query results.
+fn time_routes(
     batch: &QueryBatch,
-    scratch: &mut RouteScratch,
+    mut route: impl FnMut(u64, u64, u64) -> RouteResult,
 ) -> (f64, u64) {
     let started = std::time::Instant::now();
     let mut digest = 0_u64;
     for (index, &(source, target)) in batch.pairs().iter().enumerate() {
-        let seed = seed_for_trial(batch.seed(), index as u64);
-        let result = view.route_seeded(source, target, seed, scratch);
+        let result = route(source, target, seed_for_trial(batch.seed(), index as u64));
         digest = digest.wrapping_mul(0x100_0000_01B3).wrapping_add(
             result.hops ^ (u64::from(result.is_delivered()) << 63) ^ result.recoveries,
         );
     }
     let nanos = started.elapsed().as_nanos() as f64;
     (batch.len() as f64 / (nanos / 1e9), digest)
+}
+
+/// Alternates `rounds + 1` timed passes of `a` and `b` over `batch` and returns each
+/// side's best throughput, asserting that both sides routed every query alike.
+fn best_of_alternating(
+    batch: &QueryBatch,
+    rounds: usize,
+    mut a: impl FnMut(u64, u64, u64) -> RouteResult,
+    mut b: impl FnMut(u64, u64, u64) -> RouteResult,
+) -> (f64, f64) {
+    let (mut best_a, mut best_b) = (0.0_f64, 0.0_f64);
+    for _ in 0..=rounds {
+        let (qps_a, digest_a) = time_routes(batch, &mut a);
+        let (qps_b, digest_b) = time_routes(batch, &mut b);
+        assert_eq!(
+            digest_a, digest_b,
+            "the two sides of an A/B routed differently"
+        );
+        best_a = best_a.max(qps_a);
+        best_b = best_b.max(qps_b);
+    }
+    (best_a, best_b)
 }
 
 /// Measures sampled routing stretch over a frozen snapshot of `network`: for each
@@ -284,12 +308,17 @@ pub struct ByzantineLevel {
 pub struct EngineBenchReport {
     /// The configuration that produced it.
     pub config: EngineBenchConfig,
-    /// One batch with route caching disabled (every query exact), routed over the live
-    /// graph — the pre-snapshot baseline.
-    pub uncached: BatchReport,
-    /// The same batch, still uncached, through the compiled-snapshot (CSR) kernel; the
-    /// speedup over `uncached` is the cross-PR number this report tracks.
+    /// One batch with route caching disabled (every query exact), through the
+    /// compiled-snapshot (CSR) kernel.
     pub uncached_frozen: BatchReport,
+    /// Best single-thread routes/sec of the main batch through
+    /// `FrozenView::route_seeded`, from [`FROZEN_SPEEDUP_ROUNDS`] alternating
+    /// frozen/live passes.
+    pub frozen_best_qps: f64,
+    /// Best single-thread routes/sec of the same batch through the live-graph walk
+    /// (`NetworkView::route_seeded`), same alternating passes; both sides are
+    /// digest-checked identical.
+    pub live_best_qps: f64,
     /// The identical uncached batch through the frozen kernel with the vectorised
     /// distance scan pinned off (`EngineConfig::simd(false)`) — the scalar A/B
     /// baseline of the `simd` section. Results are bit-identical to
@@ -342,26 +371,14 @@ pub struct EngineBenchReport {
     /// snapshot incrementally patched (the default engine behaviour).
     pub interleaved: InterleavedReport,
     /// Dedicated snapshot-maintenance run at `maintenance_churn_fraction` per epoch,
-    /// snapshot patched from the typed churn delta (the default engine behaviour).
+    /// snapshot patched from the typed churn delta.
     pub maintenance_patch: InterleavedReport,
-    /// The identical maintenance trajectory patched from the flat touched-node list
-    /// (per-row usable-neighbour recompute — the PR 3 behaviour). Epoch reports
-    /// match `maintenance_patch` query for query; the per-epoch patch timings are
-    /// the `delta_patch_speedup` comparison.
-    pub maintenance_touched: InterleavedReport,
-    /// The identical maintenance trajectory with incremental patching disabled: the
-    /// snapshot is recompiled from scratch every epoch. Epoch reports match
-    /// `maintenance_patch` query for query; only the maintenance cost differs, which
-    /// is exactly what the `snapshot_maintenance` section compares.
-    pub maintenance_rebuild: InterleavedReport,
-    /// Cache-invalidation comparison at `cache_churn_fraction` per epoch: row-level
-    /// eviction (the default engine behaviour).
+    /// Nanoseconds of one direct `NetworkView::freeze()` of the maintenance run's
+    /// final network, timed once per epoch: the full-rebuild cost a patch saves.
+    pub rebuild_nanos: Vec<u64>,
+    /// Trickle-churn run at `cache_churn_fraction` per epoch, evicting cached
+    /// routes at row granularity.
     pub cache_row: InterleavedReport,
-    /// The same trickle-churn trajectory with the old bucket-bitmask flush
-    /// (`EngineConfig::row_invalidation(false)`): identical topology and schedules,
-    /// coarser eviction — the warm-hit-rate baseline of the `cache_invalidation`
-    /// section.
-    pub cache_bucket: InterleavedReport,
     /// Resilience phase, regional scenario: failure epochs alternating one
     /// correlated region crash of `failure_region_width` nodes with a heal, on a
     /// backtrack-routing overlay under trickle churn. Every epoch classifies its
@@ -388,7 +405,7 @@ impl EngineBenchReport {
     /// Headline: p99 hop count over exact (uncached) delivered lookups.
     #[must_use]
     pub fn p99_hops(&self) -> f64 {
-        self.uncached.hop_summary().map_or(0.0, |s| s.p99)
+        self.uncached_frozen.hop_summary().map_or(0.0, |s| s.p99)
     }
 
     /// Headline: delivered fraction while the configured churn is live.
@@ -397,13 +414,14 @@ impl EngineBenchReport {
         self.interleaved.overall_success_rate()
     }
 
-    /// Headline: uncached speedup of the frozen CSR kernel over the live-graph walk
-    /// (`0.0` when the baseline measured no throughput).
+    /// Headline: single-thread speedup of `FrozenView::route_seeded` over the
+    /// live-graph `NetworkView::route_seeded` on the identical batch — best
+    /// alternating-round throughput each side (`0.0` when the live side measured
+    /// nothing).
     #[must_use]
     pub fn frozen_speedup(&self) -> f64 {
-        let baseline = self.uncached.queries_per_sec();
-        if baseline > 0.0 {
-            self.uncached_frozen.queries_per_sec() / baseline
+        if self.live_best_qps > 0.0 {
+            self.frozen_best_qps / self.live_best_qps
         } else {
             0.0
         }
@@ -424,29 +442,25 @@ impl EngineBenchReport {
         }
     }
 
+    /// Median of [`EngineBenchReport::rebuild_nanos`] (`0.0` when none were timed).
+    #[must_use]
+    pub fn median_rebuild_nanos(&self) -> f64 {
+        let mut sorted = self.rebuild_nanos.clone();
+        sorted.sort_unstable();
+        sorted
+            .get(sorted.len() / 2)
+            .map_or(0.0, |&nanos| nanos as f64)
+    }
+
     /// Headline: per-epoch snapshot maintenance speedup at the maintenance churn rate
-    /// — mean full-rebuild time (from the rebuild-baseline trajectory) over mean
-    /// delta-patch time (`0.0` when either side measured nothing).
+    /// — median direct freeze time over mean delta-patch time (`0.0` when either
+    /// side measured nothing).
     #[must_use]
     pub fn snapshot_patch_speedup(&self) -> f64 {
         let patch = self.maintenance_patch.mean_patch_nanos();
-        let rebuild = self.maintenance_rebuild.mean_rebuild_nanos();
+        let rebuild = self.median_rebuild_nanos();
         if patch > 0.0 && rebuild > 0.0 {
             rebuild / patch
-        } else {
-            0.0
-        }
-    }
-
-    /// Headline: per-epoch speedup of typed delta patching over the touched-list
-    /// recompute it replaces — mean `apply_churn` time over mean `apply_delta` time
-    /// on the identical trajectory (`0.0` when either side measured nothing).
-    #[must_use]
-    pub fn delta_patch_speedup(&self) -> f64 {
-        let delta = self.maintenance_patch.mean_patch_nanos();
-        let touched = self.maintenance_touched.mean_patch_nanos();
-        if delta > 0.0 && touched > 0.0 {
-            touched / delta
         } else {
             0.0
         }
@@ -464,8 +478,7 @@ impl EngineBenchReport {
         1.0 - self.maintenance_patch.rebuild_fallbacks() as f64 / epochs as f64
     }
 
-    /// Headline: warm-cache hit rate under trickle churn with row-level invalidation
-    /// (the `cache_bucket` trajectory holds the old bucket-mask baseline).
+    /// Headline: warm-cache hit rate under trickle churn with row-level invalidation.
     #[must_use]
     pub fn cache_row_hit_rate(&self) -> f64 {
         self.cache_row.warm_hit_rate()
@@ -629,9 +642,9 @@ impl EngineBenchReport {
         )
     }
 
-    /// The `snapshot_maintenance` JSON section: per-epoch delta-apply vs
-    /// touched-list vs rebuild cost and the compaction/fallback cadence,
-    /// re-baselining the snapshot amortisation each PR.
+    /// The `snapshot_maintenance` JSON section: per-epoch delta-apply cost, direct
+    /// freeze timings, and the compaction/fallback cadence, re-baselining the
+    /// snapshot amortisation each PR.
     #[must_use]
     fn snapshot_maintenance_json(&self) -> String {
         let us = |nanos: u64| -> String { format!("{:.1}", nanos as f64 / 1e3) };
@@ -641,18 +654,7 @@ impl EngineBenchReport {
             .iter()
             .map(|e| us(e.snapshot.patch_nanos))
             .collect();
-        let apply_churn_us: Vec<String> = self
-            .maintenance_touched
-            .epochs()
-            .iter()
-            .map(|e| us(e.snapshot.patch_nanos))
-            .collect();
-        let rebuild_us: Vec<String> = self
-            .maintenance_rebuild
-            .epochs()
-            .iter()
-            .map(|e| us(e.snapshot.rebuild_nanos))
-            .collect();
+        let rebuild_us: Vec<String> = self.rebuild_nanos.iter().map(|&n| us(n)).collect();
         let sum = |f: fn(&faultline_engine::EpochReport) -> usize| -> usize {
             self.maintenance_patch.epochs().iter().map(f).sum()
         };
@@ -660,23 +662,18 @@ impl EngineBenchReport {
         let rows_in_place = sum(|e| e.snapshot.rows_in_place);
         format!(
             concat!(
-                "{{\"churn_fraction\":{:.4},\"patch_us\":[{}],\"apply_churn_us\":[{}],",
-                "\"rebuild_us\":[{}],",
-                "\"mean_patch_us\":{:.1},\"mean_apply_churn_us\":{:.1},",
-                "\"mean_rebuild_us\":{:.1},",
-                "\"rebuild_over_patch\":{:.2},\"delta_over_touched\":{:.2},",
+                "{{\"churn_fraction\":{:.4},\"patch_us\":[{}],\"rebuild_us\":[{}],",
+                "\"mean_patch_us\":{:.1},\"median_rebuild_us\":{:.1},",
+                "\"rebuild_over_patch\":{:.2},",
                 "\"rows_patched\":{},\"rows_in_place\":{},",
                 "\"compactions\":{},\"rebuild_fallbacks\":{}}}"
             ),
             self.config.maintenance_churn_fraction,
             patch_us.join(","),
-            apply_churn_us.join(","),
             rebuild_us.join(","),
             self.maintenance_patch.mean_patch_nanos() / 1e3,
-            self.maintenance_touched.mean_patch_nanos() / 1e3,
-            self.maintenance_rebuild.mean_rebuild_nanos() / 1e3,
+            self.median_rebuild_nanos() / 1e3,
             self.snapshot_patch_speedup(),
-            self.delta_patch_speedup(),
             rows_patched,
             rows_in_place,
             self.maintenance_patch.compactions(),
@@ -685,57 +682,28 @@ impl EngineBenchReport {
     }
 
     /// The `cache_invalidation` JSON section: warm-hit rate under trickle churn with
-    /// row-level eviction vs the old bucket mask, per-epoch rows invalidated vs what
-    /// the mask would have flushed, and the per-epoch delta-apply vs `apply_churn`
-    /// cost *at this section's own churn fraction* (the row run patches from the
-    /// delta, the bucket-baseline run from the touched list, over the identical
-    /// topology trajectory).
+    /// row-level eviction, per-epoch rows changed and cached routes invalidated, and
+    /// the per-epoch delta-apply cost *at this section's own churn fraction*.
     #[must_use]
     fn cache_invalidation_json(&self) -> String {
-        let flushed: Vec<String> = self
-            .cache_row
-            .epochs()
+        let epochs = self.cache_row.epochs();
+        let flushed: Vec<String> = epochs
             .iter()
             .map(|e| e.flushed_routes.to_string())
             .collect();
-        let bucket_stale: Vec<String> = self
-            .cache_row
-            .epochs()
-            .iter()
-            .map(|e| e.bucket_stale_routes.to_string())
-            .collect();
-        let bucket_flushed: Vec<String> = self
-            .cache_bucket
-            .epochs()
-            .iter()
-            .map(|e| e.flushed_routes.to_string())
-            .collect();
-        let rows_changed: Vec<String> = self
-            .cache_row
-            .epochs()
-            .iter()
-            .map(|e| e.rows_changed.to_string())
-            .collect();
+        let rows_changed: Vec<String> = epochs.iter().map(|e| e.rows_changed.to_string()).collect();
         format!(
             concat!(
-                "{{\"churn_fraction\":{:.4},",
-                "\"warm_hit_rate_row\":{:.6},\"warm_hit_rate_bucket\":{:.6},",
+                "{{\"churn_fraction\":{:.4},\"warm_hit_rate_row\":{:.6},",
                 "\"rows_changed\":[{}],\"rows_invalidated\":[{}],",
-                "\"bucket_mask_stale\":[{}],\"bucket_mask_flushed\":[{}],",
-                "\"total_rows_invalidated\":{},\"total_bucket_mask_flushed\":{},",
-                "\"delta_apply_us\":{:.1},\"apply_churn_us\":{:.1}}}"
+                "\"total_rows_invalidated\":{},\"delta_apply_us\":{:.1}}}"
             ),
             self.config.cache_churn_fraction,
             self.cache_row.warm_hit_rate(),
-            self.cache_bucket.warm_hit_rate(),
             rows_changed.join(","),
             flushed.join(","),
-            bucket_stale.join(","),
-            bucket_flushed.join(","),
             self.cache_row.total_flushed_routes(),
-            self.cache_bucket.total_flushed_routes(),
             self.cache_row.mean_patch_nanos() / 1e3,
-            self.cache_bucket.mean_patch_nanos() / 1e3,
         )
     }
 
@@ -786,6 +754,22 @@ impl EngineBenchReport {
             Self::resilience_scenario_json(&self.resilience_regional),
             Self::resilience_scenario_json(&self.resilience_partition),
             self.stretch_after_failures.to_json(),
+        )
+    }
+
+    /// The `frozen` JSON section: best single-thread throughput of each side of the
+    /// frozen-vs-live A/B behind `frozen_speedup`.
+    #[must_use]
+    fn frozen_json(&self) -> String {
+        format!(
+            concat!(
+                "{{\"rounds\":{},\"frozen_speedup\":{:.3},",
+                "\"frozen_queries_per_sec\":{:.1},\"live_queries_per_sec\":{:.1}}}"
+            ),
+            FROZEN_SPEEDUP_ROUNDS,
+            self.frozen_speedup(),
+            self.frozen_best_qps,
+            self.live_best_qps,
         )
     }
 
@@ -847,16 +831,16 @@ impl EngineBenchReport {
                 "\"headline\":{{\"queries_per_sec\":{:.1},\"p99_hops\":{:.1},",
                 "\"success_rate_under_churn\":{:.6},\"frozen_speedup\":{:.2},",
                 "\"simd_speedup\":{:.3},\"simd_isa\":\"{}\",",
-                "\"snapshot_patch_speedup\":{:.2},\"delta_patch_speedup\":{:.2},",
+                "\"snapshot_patch_speedup\":{:.2},",
                 "\"cache_row_hit_rate\":{:.6},\"byzantine_throughput\":{:.1},",
                 "\"byzantine_success_rate\":{:.6},\"stretch_p50\":{:.3},",
                 "\"stretch_p99\":{:.3},\"telemetry_overhead_ratio\":{:.4},",
                 "\"survival_rate\":{:.6},\"failure_retry_overhead\":{:.4},",
                 "\"heal_recovery_us\":{:.1},\"failure_rebuild_free\":{:.4}}},",
-                "\"simd\":{},\"telemetry\":{},",
+                "\"frozen\":{},\"simd\":{},\"telemetry\":{},",
                 "\"snapshot_maintenance\":{},\"cache_invalidation\":{},\"byzantine\":{},",
                 "\"resilience\":{},",
-                "\"uncached\":{},\"uncached_frozen\":{},\"cached_cold\":{},\"cached_warm\":{},",
+                "\"uncached_frozen\":{},\"cached_cold\":{},\"cached_warm\":{},",
                 "\"interleaved\":{}}}"
             ),
             self.config.nodes,
@@ -874,7 +858,6 @@ impl EngineBenchReport {
             self.simd_speedup(),
             self.simd_isa,
             self.snapshot_patch_speedup(),
-            self.delta_patch_speedup(),
             self.cache_row_hit_rate(),
             self.byzantine_throughput(),
             self.byzantine_success_rate(),
@@ -885,13 +868,13 @@ impl EngineBenchReport {
             self.failure_retry_overhead(),
             self.heal_recovery_us(),
             self.failure_rebuild_free(),
+            self.frozen_json(),
             self.simd_json(),
             self.telemetry_json(),
             self.snapshot_maintenance_json(),
             self.cache_invalidation_json(),
             self.byzantine_json(),
             self.resilience_json(),
-            self.uncached.to_json(),
             self.uncached_frozen.to_json(),
             self.cached_cold.to_json(),
             self.cached_warm.to_json(),
@@ -926,20 +909,28 @@ pub fn run(config: &EngineBenchConfig) -> EngineBenchReport {
     let stretch = measure_stretch(&network, config.seed ^ 0x57E7);
 
     let batch = QueryBatch::uniform(&network, config.queries, config.seed ^ 0xBA7C);
-    let mut uncached_engine = QueryEngine::new(
-        EngineConfig::default()
-            .threads(config.threads)
-            .cache_capacity(0)
-            .frozen(false),
-    );
-    let uncached = uncached_engine.run_batch(&network, &batch);
-
     let mut frozen_engine = QueryEngine::new(
         EngineConfig::default()
             .threads(config.threads)
             .cache_capacity(0),
     );
     let uncached_frozen = frozen_engine.run_batch(&network, &batch);
+
+    // Frozen-vs-live A/B on the main batch, one thread per side: the compiled
+    // snapshot's route path against the live-graph walk it replaced, alternating
+    // rounds and keeping each side's best (the same best-of trick as the SIMD and
+    // telemetry readings).
+    let frozen_view = network.view().freeze().with_kernel(frozen_engine.kernel());
+    let live_view = network.view();
+    let mut frozen_scratch = RouteScratch::new()
+        .with_path_recording(false)
+        .with_kernel(frozen_engine.kernel());
+    let (frozen_best_qps, live_best_qps) = best_of_alternating(
+        &batch,
+        FROZEN_SPEEDUP_ROUNDS,
+        |s, t, seed| frozen_view.route_seeded(s, t, seed, &mut frozen_scratch),
+        |s, t, seed| live_view.route_seeded(s, t, seed),
+    );
 
     // SIMD A/B on the identical uncached frozen workload: the scalar engine pins
     // the portable fold (`EngineConfig::simd(false)`), the frozen engine above
@@ -982,21 +973,11 @@ pub fn run(config: &EngineBenchConfig) -> EngineBenchReport {
     let mut scalar_scratch = RouteScratch::new()
         .with_path_recording(false)
         .with_kernel(KernelIsa::scalar());
-    let mut simd_best_qps = 0.0_f64;
-    let mut scalar_best_qps = 0.0_f64;
-    let mut simd_digest = 0_u64;
-    let mut scalar_digest = 0_u64;
-    for _ in 0..=SIMD_SPEEDUP_ROUNDS {
-        let (qps, digest) = time_kernel_cell(&kernel_view, &kernel_batch, &mut simd_scratch);
-        simd_best_qps = simd_best_qps.max(qps);
-        simd_digest = digest;
-        let (qps, digest) = time_kernel_cell(&kernel_view, &kernel_batch, &mut scalar_scratch);
-        scalar_best_qps = scalar_best_qps.max(qps);
-        scalar_digest = digest;
-    }
-    assert_eq!(
-        simd_digest, scalar_digest,
-        "SIMD and scalar kernel-cell routes diverged"
+    let (simd_best_qps, scalar_best_qps) = best_of_alternating(
+        &kernel_batch,
+        SIMD_SPEEDUP_ROUNDS,
+        |s, t, seed| kernel_view.route_seeded(s, t, seed, &mut simd_scratch),
+        |s, t, seed| kernel_view.route_seeded(s, t, seed, &mut scalar_scratch),
     );
 
     let mut cached_engine = QueryEngine::new(EngineConfig::default().threads(config.threads));
@@ -1079,64 +1060,38 @@ pub fn run(config: &EngineBenchConfig) -> EngineBenchReport {
     // the `InterleavedReport`; this is the cumulative view.
     let telemetry = cached_engine.telemetry().snapshot();
 
-    // Snapshot-maintenance comparison at light sustained churn: three identically
-    // seeded networks and engines walk the exact same trajectory — one patching its
-    // snapshot from the typed churn delta (the default), one recomputing the flat
-    // touched-node list (`apply_churn`, the PR 3 path), one recompiling from scratch.
-    // Epoch reports come out identical; the per-epoch maintenance timings are the
-    // comparison the `snapshot_maintenance` section publishes.
+    // Snapshot maintenance at light sustained churn: the delta-patched run's
+    // per-epoch patch cost against direct freezes of the network it ends on — the
+    // full rebuild each patch saves.
     let maintenance_churn = ChurnMix::fraction_of(config.nodes, config.maintenance_churn_fraction);
-    let maintenance = |mode: SnapshotMaintenance| {
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut network = Network::build(&network_config, &mut rng);
-        let mut engine = QueryEngine::new(
-            EngineConfig::default()
-                .threads(config.threads)
-                .maintenance(mode),
-        );
-        engine.run_interleaved(
-            &mut network,
+    let mut maintenance_network =
+        Network::build(&network_config, &mut StdRng::seed_from_u64(config.seed));
+    let maintenance_patch = QueryEngine::new(EngineConfig::default().threads(config.threads))
+        .run_interleaved(
+            &mut maintenance_network,
             config.epochs,
             per_epoch,
             maintenance_churn,
             config.seed ^ 0x5EED,
-        )
-    };
-    let maintenance_patch = maintenance(SnapshotMaintenance::Delta);
-    let maintenance_touched = maintenance(SnapshotMaintenance::TouchedList);
-    let maintenance_rebuild = maintenance(SnapshotMaintenance::Rebuild);
-
-    // Cache-invalidation comparison under trickle churn: identical topology
-    // trajectories (churn schedules derive from the seed, not from the cache), one
-    // engine evicting at row granularity, the other with the old bucket bitmask.
-    // The baseline run also patches its snapshot from the touched list, so the pair
-    // yields delta-apply vs `apply_churn` timings at *this* churn fraction too
-    // (maintenance mode provably does not change the trajectory).
-    let cache_churn = ChurnMix::fraction_of(config.nodes, config.cache_churn_fraction);
-    let cache_run = |row_invalidation: bool| {
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut network = Network::build(&network_config, &mut rng);
-        let maintenance = if row_invalidation {
-            SnapshotMaintenance::Delta
-        } else {
-            SnapshotMaintenance::TouchedList
-        };
-        let mut engine = QueryEngine::new(
-            EngineConfig::default()
-                .threads(config.threads)
-                .maintenance(maintenance)
-                .row_invalidation(row_invalidation),
         );
-        engine.run_interleaved(
-            &mut network,
+    let rebuild_nanos = (0..config.epochs.max(1))
+        .map(|_| {
+            let started = std::time::Instant::now();
+            let _snapshot = maintenance_network.view().freeze();
+            started.elapsed().as_nanos() as u64
+        })
+        .collect();
+
+    // Row-level cache invalidation under trickle churn.
+    let cache_churn = ChurnMix::fraction_of(config.nodes, config.cache_churn_fraction);
+    let cache_row = QueryEngine::new(EngineConfig::default().threads(config.threads))
+        .run_interleaved(
+            &mut Network::build(&network_config, &mut StdRng::seed_from_u64(config.seed)),
             config.epochs,
             per_epoch,
             cache_churn,
             config.seed ^ 0xCACE,
-        )
-    };
-    let cache_row = cache_run(true);
-    let cache_bucket = cache_run(false);
+        );
 
     // Resilience phase: failure epochs alternating correlated damage with heals,
     // over trickle churn, on overlays routing with the paper's backtrack strategy
@@ -1176,8 +1131,9 @@ pub fn run(config: &EngineBenchConfig) -> EngineBenchReport {
 
     EngineBenchReport {
         config: *config,
-        uncached,
         uncached_frozen,
+        frozen_best_qps,
+        live_best_qps,
         uncached_scalar,
         simd_isa,
         simd_lanes,
@@ -1193,10 +1149,8 @@ pub fn run(config: &EngineBenchConfig) -> EngineBenchReport {
         byzantine,
         interleaved,
         maintenance_patch,
-        maintenance_touched,
-        maintenance_rebuild,
+        rebuild_nanos,
         cache_row,
-        cache_bucket,
         resilience_regional,
         resilience_partition,
         stretch_after_failures,
@@ -1229,13 +1183,15 @@ pub fn print(report: &EngineBenchReport) {
             batch.cache_hits(),
         );
     };
-    line("uncached (live graph)", &report.uncached);
     line("uncached (frozen)", &report.uncached_frozen);
     line("cached (cold)", &report.cached_cold);
     line("cached (warm)", &report.cached_warm);
     println!(
-        "frozen snapshot speedup on the uncached path: {:.2}x",
-        report.frozen_speedup()
+        "frozen snapshot speedup over the live-graph walk: {:.2}x ({:.0} vs {:.0} routes/s on one thread, best of {} alternating rounds)",
+        report.frozen_speedup(),
+        report.frozen_best_qps,
+        report.live_best_qps,
+        FROZEN_SPEEDUP_ROUNDS + 1,
     );
     println!(
         "simd kernel: {} ({} lanes), {:.2}x over the scalar fold ({:.0} vs {:.0} routes/s through the frozen path on the {}-node kernel cell, best of {} alternating rounds)",
@@ -1293,13 +1249,11 @@ pub fn print(report: &EngineBenchReport) {
         report.interleaved.overall_success_rate(),
     );
     println!(
-        "snapshot maintenance ({:.1}% churn/epoch): delta {:.1} µs/epoch vs touched-list {:.1} µs vs rebuild {:.1} µs ({:.1}x over rebuild, {:.1}x over touched-list), {} compactions, {} rebuild fallbacks",
+        "snapshot maintenance ({:.1}% churn/epoch): delta {:.1} µs/epoch vs freeze {:.1} µs ({:.1}x over rebuild), {} compactions, {} rebuild fallbacks",
         config.maintenance_churn_fraction * 100.0,
         report.maintenance_patch.mean_patch_nanos() / 1e3,
-        report.maintenance_touched.mean_patch_nanos() / 1e3,
-        report.maintenance_rebuild.mean_rebuild_nanos() / 1e3,
+        report.median_rebuild_nanos() / 1e3,
         report.snapshot_patch_speedup(),
-        report.delta_patch_speedup(),
         report.maintenance_patch.compactions(),
         report.maintenance_patch.rebuild_fallbacks(),
     );
@@ -1331,12 +1285,10 @@ pub fn print(report: &EngineBenchReport) {
         report.stretch_p50(),
     );
     println!(
-        "cache invalidation ({:.2}% churn/epoch): warm hit rate {:.4} row-level vs {:.4} bucket-mask, {} routes flushed vs {} by the old mask",
+        "cache invalidation ({:.2}% churn/epoch): warm hit rate {:.4}, {} routes flushed",
         config.cache_churn_fraction * 100.0,
         report.cache_row.warm_hit_rate(),
-        report.cache_bucket.warm_hit_rate(),
         report.cache_row.total_flushed_routes(),
-        report.cache_bucket.total_flushed_routes(),
     );
 }
 
@@ -1363,11 +1315,11 @@ mod tests {
     #[test]
     fn experiment_produces_consistent_shape() {
         let report = run(&tiny());
-        assert_eq!(report.uncached.queries(), 4_000);
+        assert_eq!(report.uncached_frozen.queries(), 4_000);
         assert_eq!(report.cached_warm.queries(), 4_000);
         assert_eq!(report.interleaved.total_queries(), 4_000);
         // Healthy overlay: the exact phase delivers everything.
-        assert_eq!(report.uncached.delivered(), 4_000);
+        assert_eq!(report.uncached_frozen.delivered(), 4_000);
         // Warm cache must actually hit.
         assert!(report.cached_warm.cache_hits() > report.cached_cold.cache_hits() / 2);
         assert!(report.success_rate_under_churn() > 0.85);
@@ -1412,21 +1364,12 @@ mod tests {
     }
 
     #[test]
-    fn frozen_section_routes_the_same_queries_identically() {
+    fn frozen_section_times_both_sides_of_the_identical_batch() {
+        // `run` asserts the two sides' per-query digests are equal every round;
+        // here both clocks must have measured something.
         let report = run(&tiny());
-        assert_eq!(report.uncached_frozen.queries(), 4_000);
-        assert_eq!(
-            report.uncached_frozen.delivered(),
-            report.uncached.delivered(),
-            "snapshot kernel must not change delivery"
-        );
-        // Same batch, same deterministic strategy: hop distributions are identical.
-        let live = report.uncached.hop_summary().unwrap();
-        let fast = report.uncached_frozen.hop_summary().unwrap();
-        assert_eq!(live.median, fast.median);
-        assert_eq!(live.p95, fast.p95);
-        assert_eq!(live.p99, fast.p99);
-        assert_eq!(live.mean, fast.mean);
+        assert!(report.frozen_best_qps > 0.0);
+        assert!(report.live_best_qps > 0.0);
         assert!(report.frozen_speedup() > 0.0);
     }
 
@@ -1481,23 +1424,21 @@ mod tests {
             "\"kernel_nodes\"",
             "\"uncached_scalar\"",
             "\"snapshot_patch_speedup\"",
-            "\"delta_patch_speedup\"",
             "\"cache_row_hit_rate\"",
             "\"byzantine_throughput\"",
             "\"byzantine_success_rate\"",
             "\"snapshot_maintenance\"",
             "\"patch_us\"",
-            "\"apply_churn_us\"",
             "\"rebuild_us\"",
+            "\"median_rebuild_us\"",
+            "\"frozen\"",
+            "\"live_queries_per_sec\"",
             "\"rows_in_place\"",
             "\"compactions\"",
             "\"rebuild_fallbacks\"",
             "\"cache_invalidation\"",
             "\"warm_hit_rate_row\"",
-            "\"warm_hit_rate_bucket\"",
             "\"rows_invalidated\"",
-            "\"bucket_mask_stale\"",
-            "\"bucket_mask_flushed\"",
             "\"byzantine\"",
             "\"redundancy\":4",
             "\"success_rate_curve\"",
@@ -1576,45 +1517,16 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_baseline_reproduces_the_incremental_trajectory() {
+    fn maintenance_run_patches_every_epoch_against_timed_freezes() {
         let report = run(&tiny());
-        let digest = |r: &InterleavedReport| {
-            r.epochs()
-                .iter()
-                .map(|e| {
-                    (
-                        e.joins,
-                        e.leaves,
-                        e.flushed_routes,
-                        e.alive_after,
-                        e.batch.delivered(),
-                        e.batch.cache_hits(),
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(
-            digest(&report.maintenance_patch),
-            digest(&report.maintenance_touched),
-            "delta vs touched-list patching must not change the trajectory"
-        );
-        assert_eq!(
-            digest(&report.maintenance_patch),
-            digest(&report.maintenance_rebuild),
-            "maintenance mode must not change the trajectory"
-        );
-        // Maintenance shape: the incremental runs patch every epoch, the baseline
-        // rebuilds every epoch.
-        for patched in [&report.maintenance_patch, &report.maintenance_touched] {
-            assert!(patched.epochs().iter().all(|e| e.snapshot.patch_nanos > 0));
-        }
-        assert!(report
-            .maintenance_rebuild
-            .epochs()
-            .iter()
-            .all(|e| e.snapshot.rebuild_nanos > 0));
+        // One freeze at epoch 0, then a delta patch every epoch; the rebuild side
+        // is one direct freeze timing per epoch.
+        let epochs = report.maintenance_patch.epochs();
+        assert!(epochs[0].snapshot.rebuild_nanos > 0);
+        assert!(epochs.iter().all(|e| e.snapshot.patch_nanos > 0));
+        assert_eq!(report.rebuild_nanos.len(), epochs.len());
+        assert!(report.rebuild_nanos.iter().all(|&nanos| nanos > 0));
         assert!(report.snapshot_patch_speedup() > 0.0);
-        assert!(report.delta_patch_speedup() > 0.0);
         assert_eq!(
             report.patch_rebuild_free(),
             1.0,
@@ -1655,29 +1567,15 @@ mod tests {
     }
 
     #[test]
-    fn cache_invalidation_pair_compares_row_level_against_the_bucket_mask() {
+    fn row_level_invalidation_keeps_the_warm_cache_hotter_than_a_cold_start() {
         let report = run(&tiny());
-        // Identical topology trajectories (schedules derive from the seed).
-        let topology = |r: &InterleavedReport| {
-            r.epochs()
-                .iter()
-                .map(|e| (e.joins, e.leaves, e.alive_after))
-                .collect::<Vec<_>>()
+        // Trickle churn evicts only the walks it touched, so the warm epoch starts
+        // with the survivors and hits more often than the cold first epoch.
+        let epochs = report.cache_row.epochs();
+        let hit_share = |e: &faultline_engine::EpochReport| {
+            e.batch.cache_hits() as f64 / e.batch.queries() as f64
         };
-        assert_eq!(topology(&report.cache_row), topology(&report.cache_bucket));
-        // Row-level eviction never flushes more than the bucket mask counted on the
-        // same cache.
-        for e in report.cache_row.epochs() {
-            assert!(
-                e.flushed_routes <= e.bucket_stale_routes,
-                "epoch {}: {} > {}",
-                e.epoch,
-                e.flushed_routes,
-                e.bucket_stale_routes
-            );
-        }
-        // And it keeps the warm cache at least as hot.
-        assert!(report.cache_row.warm_hit_rate() >= report.cache_bucket.warm_hit_rate());
+        assert!(report.cache_row_hit_rate() > hit_share(&epochs[0]));
         assert_eq!(
             report.cache_row_hit_rate(),
             report.cache_row.warm_hit_rate()

@@ -425,28 +425,15 @@ impl NetworkMaintainer {
     /// The present neighbours immediately below and above `position` (excluding the
     /// position itself), wrapping around on a ring.
     fn neighbors_around(&self, position: NodeId) -> (Option<NodeId>, Option<NodeId>) {
+        // Two binary searches over the sorted presence list: every join and leave
+        // asks, so no per-event copy of the O(n) list.
         let present = self.graph.present_nodes();
-        let others: Vec<NodeId> = present.iter().copied().filter(|&p| p != position).collect();
-        if others.is_empty() {
-            return (None, None);
-        }
+        let below = &present[..present.partition_point(|&p| p < position)];
+        let above = &present[present.partition_point(|&p| p <= position)..];
         let is_ring = self.graph.geometry().is_ring();
-        let idx = others.partition_point(|&p| p < position);
-        let pred = if idx > 0 {
-            Some(others[idx - 1])
-        } else if is_ring {
-            Some(others[others.len() - 1])
-        } else {
-            None
-        };
-        let succ = if idx < others.len() {
-            Some(others[idx])
-        } else if is_ring {
-            Some(others[0])
-        } else {
-            None
-        };
-        (pred, succ)
+        let pred = below.last().or(above.last().filter(|_| is_ring));
+        let succ = above.first().or(below.first().filter(|_| is_ring));
+        (pred.copied(), succ.copied())
     }
 }
 

@@ -1,9 +1,8 @@
 //! Property: incremental snapshot patching equals a from-scratch recompile.
 //!
-//! The Section 5 maintainer reports the exact blast radius of every join and leave —
-//! as a flat `touched_nodes` list and as a typed [`ChurnDelta`] of per-node row
-//! diffs. Feeding either to the snapshot ([`FrozenRoutes::apply_churn`] /
-//! [`FrozenRoutes::apply_delta`]) must keep it *logically* identical to
+//! The Section 5 maintainer reports the exact blast radius of every join and leave
+//! as a typed [`ChurnDelta`] of per-node row diffs. Feeding it to the snapshot
+//! ([`FrozenRoutes::apply_delta`]) must keep it *logically* identical to
 //! `OverlayGraph::freeze()` of the mutated graph after **any** interleaving of joins
 //! and leaves — same adjacency row for every node, same alive bitset, same sorted
 //! alive list — and a forced [`FrozenRoutes::compact`] must make it
@@ -12,7 +11,7 @@
 
 use faultline_construction::{NetworkMaintainer, ReplacementStrategy};
 use faultline_metric::Geometry;
-use faultline_overlay::{ChurnDelta, FrozenRoutes, NodeId, OverlayGraph};
+use faultline_overlay::{ChurnDelta, FrozenRoutes, OverlayGraph};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -27,23 +26,21 @@ fn assert_logically_equal(graph: &OverlayGraph, patched: &FrozenRoutes) {
     assert_eq!(patched.edge_count(), fresh.edge_count());
 }
 
-/// One epoch of random maintainer churn; returns the union of the touched sets and
-/// the merged (latest-row-wins) typed delta of the same events.
+/// One epoch of random maintainer churn; returns the merged (latest-row-wins)
+/// typed delta of its events.
 fn churn_epoch(
     maintainer: &mut NetworkMaintainer,
     events: usize,
     join_bias: f64,
     rng: &mut StdRng,
-) -> (Vec<NodeId>, ChurnDelta) {
+) -> ChurnDelta {
     let n = maintainer.graph().len();
-    let mut touched = Vec::new();
     let mut delta = ChurnDelta::new();
     for _ in 0..events {
         let want_join = rng.gen_bool(join_bias);
         if want_join {
             let p = rng.gen_range(0..n);
             if let Ok(report) = maintainer.join(p, rng) {
-                touched.extend(report.touched_nodes);
                 delta.absorb(report.delta);
             }
         } else if maintainer.graph().present_count() > 2 {
@@ -54,13 +51,12 @@ fn churn_epoch(
                 .get(p as usize % maintainer.graph().present_nodes().len())
             {
                 if let Ok(report) = maintainer.leave(victim, rng) {
-                    touched.extend(report.touched_nodes);
                     delta.absorb(report.delta);
                 }
             }
         }
     }
-    (touched, delta)
+    delta
 }
 
 proptest! {
@@ -85,28 +81,22 @@ proptest! {
             let _ = maintainer.join(rng.gen_range(0..n), &mut rng);
         }
 
-        // Two snapshots walk the same churn: one patched from the flat touched list
-        // (row recompute), one from the typed delta (rows written as captured). Both
-        // must stay logically identical to a fresh freeze at every epoch boundary.
-        let mut recomputed = maintainer.graph().freeze();
-        let mut diffed = recomputed.clone();
+        // The snapshot, patched from the typed delta (rows written as captured), must
+        // stay logically identical to a fresh freeze at every epoch boundary.
+        let mut diffed = maintainer.graph().freeze();
         for _ in 0..epochs {
-            let (touched, delta) = churn_epoch(&mut maintainer, events, join_bias, &mut rng);
+            let delta = churn_epoch(&mut maintainer, events, join_bias, &mut rng);
             prop_assert_eq!(
                 delta.changed_nodes().collect::<Vec<_>>().len(),
                 delta.len(),
                 "delta rows must be unique"
             );
-            recomputed.apply_churn(maintainer.graph(), &touched);
             diffed.apply_delta(maintainer.graph(), &delta);
-            assert_logically_equal(maintainer.graph(), &recomputed);
             assert_logically_equal(maintainer.graph(), &diffed);
         }
 
         // Bit-identity after folding the overflow region back into the dense CSR.
-        recomputed.compact();
         diffed.compact();
-        prop_assert_eq!(&recomputed, &maintainer.graph().freeze());
         prop_assert_eq!(
             diffed,
             maintainer.graph().freeze(),
@@ -128,30 +118,20 @@ proptest! {
         }
         let mut per_event = a.graph().freeze();
         let mut batched = per_event.clone();
-        let mut per_event_delta = per_event.clone();
-        let mut batched_delta = per_event.clone();
 
-        let mut epoch_touched = Vec::new();
         let mut epoch_delta = ChurnDelta::new();
         for _ in 0..events {
-            let (touched, delta) = churn_epoch(&mut a, 1, 0.5, &mut rng);
-            per_event.apply_churn(a.graph(), &touched);
-            per_event_delta.apply_delta(a.graph(), &delta);
-            epoch_touched.extend(touched);
+            let delta = churn_epoch(&mut a, 1, 0.5, &mut rng);
+            per_event.apply_delta(a.graph(), &delta);
             epoch_delta.absorb(delta);
         }
-        batched.apply_churn(a.graph(), &epoch_touched);
         // The merged delta carries each twice-touched row once, with its final
         // content: applying it in one shot must land on the same topology.
-        batched_delta.apply_delta(a.graph(), &epoch_delta);
+        batched.apply_delta(a.graph(), &epoch_delta);
 
         per_event.compact();
         batched.compact();
-        per_event_delta.compact();
-        batched_delta.compact();
         prop_assert_eq!(&per_event, &batched);
-        prop_assert_eq!(&per_event, &per_event_delta);
-        prop_assert_eq!(&per_event, &batched_delta);
         prop_assert_eq!(per_event, a.graph().freeze());
     }
 }

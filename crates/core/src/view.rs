@@ -76,14 +76,6 @@ impl<'a> NetworkView<'a> {
         self.router.route(self.graph, source, target, &mut rng)
     }
 
-    /// Same view, routing with path recording enabled (used by route caches that need
-    /// to know which nodes a cached route depends on).
-    #[must_use]
-    pub fn with_path_recording(mut self, record: bool) -> Self {
-        self.router = self.router.with_path_recording(record);
-        self
-    }
-
     /// Same view with an overridden hop budget.
     #[must_use]
     pub fn with_max_hops(mut self, max_hops: u64) -> Self {
@@ -165,26 +157,6 @@ impl FrozenView {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.routes.is_empty()
-    }
-
-    /// Patches the snapshot in place after a churn epoch, given the union of the
-    /// maintainer reports' `touched_nodes`; see
-    /// [`FrozenRoutes::apply_churn`] for the blast-radius contract. O(touched · ℓ)
-    /// instead of the O(nodes + links) of a full [`NetworkView::freeze`].
-    pub fn apply_churn(&mut self, graph: &OverlayGraph, touched: &[NodeId]) -> PatchStats {
-        self.routes.apply_churn(graph, touched)
-    }
-
-    /// [`FrozenView::apply_churn`] with telemetry: times the patch (and any
-    /// triggered compaction) and records fallback/compaction events; see
-    /// [`FrozenRoutes::apply_churn_with`].
-    pub fn apply_churn_with(
-        &mut self,
-        graph: &OverlayGraph,
-        touched: &[NodeId],
-        telemetry: &Telemetry,
-    ) -> PatchStats {
-        self.routes.apply_churn_with(graph, touched, telemetry)
     }
 
     /// Patches the snapshot in place from a typed [`ChurnDelta`] (the merged
@@ -324,10 +296,11 @@ mod tests {
     }
 
     #[test]
-    fn path_recording_view_records() {
+    fn path_recording_router_records_over_the_view() {
         let net = network(128, 5);
-        let view = net.view().with_path_recording(true);
-        let r = view.route_seeded(0, 100, 1);
+        let view = net.view();
+        let router = view.router().with_path_recording(true);
+        let r = router.route(view.graph(), 0, 100, &mut StdRng::seed_from_u64(1));
         let path = r.path.as_ref().expect("path must be recorded");
         assert_eq!(path.first(), Some(&0));
         assert_eq!(path.last(), Some(&100));

@@ -102,27 +102,6 @@ impl ByzantineConfig {
     }
 }
 
-/// How [`run_interleaved`](crate::QueryEngine::run_interleaved) maintains its
-/// persistent routing snapshot across churn epochs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SnapshotMaintenance {
-    /// Patch the snapshot from the epoch's typed [`ChurnDelta`]
-    /// (maintainer-captured row diffs written directly; no usable-neighbour
-    /// recompute) — the default.
-    ///
-    /// [`ChurnDelta`]: faultline_overlay::ChurnDelta
-    #[default]
-    Delta,
-    /// Patch the snapshot from the flat touched-node list, recomputing every touched
-    /// row from the live graph
-    /// ([`FrozenRoutes::apply_churn`](faultline_overlay::FrozenRoutes::apply_churn))
-    /// — the PR 3 behaviour, kept as the delta layer's benchmark baseline.
-    TouchedList,
-    /// Recompile the snapshot from scratch every epoch — the pre-patching behaviour,
-    /// kept as the incremental layer's benchmark baseline.
-    Rebuild,
-}
-
 /// A typed rejection from [`EngineConfig::validate`].
 ///
 /// Every variant names a configuration that previous releases either silently
@@ -195,9 +174,6 @@ pub struct EngineConfig {
     shards: usize,
     cache_capacity: usize,
     max_hops: Option<u64>,
-    frozen: bool,
-    maintenance: SnapshotMaintenance,
-    row_invalidation: bool,
     byzantine: Option<ByzantineConfig>,
     failures: Option<FailureSchedule>,
     telemetry: bool,
@@ -211,9 +187,6 @@ impl Default for EngineConfig {
             shards: 16,
             cache_capacity: 1024,
             max_hops: None,
-            frozen: true,
-            maintenance: SnapshotMaintenance::Delta,
-            row_invalidation: true,
             byzantine: None,
             failures: None,
             telemetry: true,
@@ -257,42 +230,6 @@ impl EngineConfig {
         self
     }
 
-    /// Enables or disables the compiled-snapshot fast path (default: enabled).
-    ///
-    /// When enabled, the engine compiles the overlay into a
-    /// [`FrozenView`](faultline_core::FrozenView) once per topology stamp and routes
-    /// cache misses through the zero-allocation CSR kernel. Disabling it routes every miss over the live
-    /// graph — the pre-snapshot behaviour, kept as the benchmark baseline.
-    #[must_use]
-    pub fn frozen(mut self, frozen: bool) -> Self {
-        self.frozen = frozen;
-        self
-    }
-
-    /// Selects how the interleaved runner maintains its persistent snapshot (default:
-    /// [`SnapshotMaintenance::Delta`]); see [`SnapshotMaintenance`].
-    #[must_use]
-    pub fn maintenance(mut self, maintenance: SnapshotMaintenance) -> Self {
-        self.maintenance = maintenance;
-        self
-    }
-
-    /// Enables or disables row-level cache invalidation in
-    /// [`run_interleaved`](crate::QueryEngine::run_interleaved) (default: enabled).
-    ///
-    /// When enabled, each epoch's churn delta evicts exactly the cache entries whose
-    /// cached walk visited a changed row
-    /// ([`QueryEngine::invalidate_delta`](crate::QueryEngine::invalidate_delta));
-    /// when disabled the runner falls back to the coarse bucket-bitmask flush
-    /// ([`QueryEngine::invalidate_nodes`](crate::QueryEngine::invalidate_nodes)) —
-    /// the PR 1–4 behaviour, kept as the benchmark baseline for warm-hit-rate
-    /// comparisons.
-    #[must_use]
-    pub fn row_invalidation(mut self, enabled: bool) -> Self {
-        self.row_invalidation = enabled;
-        self
-    }
-
     /// Configured worker threads (0 = available parallelism).
     #[must_use]
     pub fn thread_count(&self) -> usize {
@@ -315,30 +252,6 @@ impl EngineConfig {
     #[must_use]
     pub fn max_hops_override(&self) -> Option<u64> {
         self.max_hops
-    }
-
-    /// Whether the compiled-snapshot fast path is enabled.
-    #[must_use]
-    pub fn frozen_enabled(&self) -> bool {
-        self.frozen
-    }
-
-    /// Whether interleaved runs patch one persistent snapshot instead of rebuilding.
-    #[must_use]
-    pub fn incremental_enabled(&self) -> bool {
-        self.maintenance != SnapshotMaintenance::Rebuild
-    }
-
-    /// The configured snapshot-maintenance mode for interleaved runs.
-    #[must_use]
-    pub fn maintenance_mode(&self) -> SnapshotMaintenance {
-        self.maintenance
-    }
-
-    /// Whether interleaved runs invalidate the route cache at row granularity.
-    #[must_use]
-    pub fn row_invalidation_enabled(&self) -> bool {
-        self.row_invalidation
     }
 
     /// Enables or disables the engine's telemetry subsystem (default: enabled).
@@ -480,32 +393,11 @@ mod tests {
             .threads(8)
             .shards(32)
             .cache_capacity(64)
-            .max_hops(1000)
-            .frozen(false)
-            .maintenance(SnapshotMaintenance::Rebuild);
+            .max_hops(1000);
         assert_eq!(config.thread_count(), 8);
         assert_eq!(config.shard_count(), 32);
         assert_eq!(config.cache_capacity_entries(), 64);
         assert_eq!(config.max_hops_override(), Some(1000));
-        assert!(!config.frozen_enabled());
-        assert!(!config.incremental_enabled());
-        assert!(
-            EngineConfig::default().frozen_enabled(),
-            "the fast path is the default"
-        );
-        assert!(
-            EngineConfig::default().incremental_enabled(),
-            "incremental snapshot maintenance is the default"
-        );
-        assert_eq!(
-            EngineConfig::default().maintenance_mode(),
-            SnapshotMaintenance::Delta,
-            "delta patching is the default maintenance mode"
-        );
-        assert!(
-            EngineConfig::default().row_invalidation_enabled(),
-            "row-level cache invalidation is the default"
-        );
         assert!(
             EngineConfig::default().telemetry_enabled(),
             "telemetry is on by default"
@@ -519,27 +411,10 @@ mod tests {
     }
 
     #[test]
-    fn maintenance_and_invalidation_knobs() {
-        let config = EngineConfig::default()
-            .maintenance(SnapshotMaintenance::TouchedList)
-            .row_invalidation(false);
-        assert_eq!(config.maintenance_mode(), SnapshotMaintenance::TouchedList);
-        assert!(
-            config.incremental_enabled(),
-            "touched-list patching is still incremental"
-        );
-        assert!(!config.row_invalidation_enabled());
-        assert!(!EngineConfig::default()
-            .maintenance(SnapshotMaintenance::Rebuild)
-            .incremental_enabled());
-    }
-
-    #[test]
-    fn cacheless_and_live_graph_configs_validate() {
-        // Capacity 0 is the exact-measurement baseline and frozen(false) the
-        // live-graph baseline; neither contradicts anything on its own.
+    fn cacheless_config_validates() {
+        // Capacity 0 is the exact-measurement configuration; it contradicts
+        // nothing on its own.
         assert_eq!(EngineConfig::default().cache_capacity(0).validate(), Ok(()));
-        assert_eq!(EngineConfig::default().frozen(false).validate(), Ok(()));
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! arrive and depart. The interleaved runner reproduces that claim at traffic scale:
 //! each epoch routes a full query batch in parallel, then applies a burst of churn
 //! events through the maintenance heuristic (`Network::join` / `Network::leave`, which
-//! regenerate links per Section 5), then flushes exactly the cached routes the churn
-//! touched. Success rate and throughput are reported per epoch, so degradation and
-//! recovery are visible in the trajectory.
+//! regenerate links per Section 5), then patches the routing snapshot and evicts
+//! exactly the cached routes whose walks read a row the churn changed. Success rate
+//! and throughput are reported per epoch, so degradation and recovery are visible in
+//! the trajectory.
 
 use crate::batch::QueryBatch;
-use crate::config::SnapshotMaintenance;
 use crate::failures::{DownedSet, FailureEvent, FailureSchedule, FailureWork, SurvivabilitySplit};
 use crate::run::{saturate_u32, QueryEngine};
 use crate::stats::{BatchReport, QueryOutcome};
@@ -130,12 +130,9 @@ impl ChurnMix {
 /// Snapshot maintenance performed during one epoch of an interleaved run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SnapshotWork {
-    /// Nanoseconds spent compiling the snapshot from scratch (the first epoch, and
-    /// every epoch when incremental maintenance is disabled).
+    /// Nanoseconds spent compiling the snapshot from scratch (the first epoch only).
     pub rebuild_nanos: u64,
-    /// Nanoseconds spent patching the snapshot with the epoch's churn blast radius
-    /// (delta-apply time in the default mode, touched-list recompute time in
-    /// [`SnapshotMaintenance::TouchedList`]).
+    /// Nanoseconds spent patching the snapshot from the epoch's typed churn delta.
     pub patch_nanos: u64,
     /// Adjacency rows the patch rewrote.
     pub rows_patched: usize,
@@ -148,8 +145,6 @@ pub struct SnapshotWork {
     /// blast radius crossed the rebuild threshold (graceful degradation, not the
     /// scheduled `rebuild_nanos` recompile).
     pub fallback_rebuild: bool,
-    /// Whether the epoch ran without any snapshot (frozen path disabled).
-    pub skipped: bool,
 }
 
 impl SnapshotWork {
@@ -171,15 +166,8 @@ pub struct EpochReport {
     pub joins: usize,
     /// Leave events applied after the batch.
     pub leaves: usize,
-    /// Cached routes flushed by this epoch's churn (row-level eviction by default;
-    /// the bucket-mask flush when [`EngineConfig::row_invalidation`] is off).
-    ///
-    /// [`EngineConfig::row_invalidation`]: crate::EngineConfig::row_invalidation
+    /// Cached routes evicted by this epoch's churn (row-level eviction).
     pub flushed_routes: usize,
-    /// Cached routes the old bucket-granular mask *would* have flushed for the same
-    /// churn (counted before eviction) — the per-epoch baseline that makes the
-    /// row-level win visible without a second run.
-    pub bucket_stale_routes: usize,
     /// Distinct rows the epoch's churn delta changed (the row-level dirty set).
     pub rows_changed: usize,
     /// Alive nodes once the epoch's churn settled.
@@ -187,7 +175,7 @@ pub struct EpochReport {
     /// Byzantine nodes once the epoch's churn settled (0 on honest runs): leaves of
     /// adversarial nodes shrink the set, adversarial joins grow it.
     pub byzantine_after: usize,
-    /// Snapshot maintenance (rebuild / patch / skip) performed this epoch.
+    /// Snapshot maintenance (rebuild or patch) performed this epoch.
     pub snapshot: SnapshotWork,
     /// What the epoch's failure event did (damage or heal, delta size, patch and
     /// invalidation cost); `None` when the run has no failure schedule.
@@ -256,13 +244,6 @@ impl InterleavedReport {
     #[must_use]
     pub fn mean_patch_nanos(&self) -> f64 {
         Self::mean_nonzero(self.epochs.iter().map(|e| e.snapshot.patch_nanos))
-    }
-
-    /// Mean nanoseconds per epoch spent full-rebuilding the snapshot (0.0 when no
-    /// epoch rebuilt).
-    #[must_use]
-    pub fn mean_rebuild_nanos(&self) -> f64 {
-        Self::mean_nonzero(self.epochs.iter().map(|e| e.snapshot.rebuild_nanos))
     }
 
     /// Number of epochs whose patch ended in a compaction.
@@ -354,13 +335,6 @@ impl InterleavedReport {
         self.epochs.iter().map(|e| e.flushed_routes).sum()
     }
 
-    /// Cached routes the bucket-granular mask would have flushed, summed over all
-    /// epochs (see [`EpochReport::bucket_stale_routes`]).
-    #[must_use]
-    pub fn total_bucket_stale_routes(&self) -> usize {
-        self.epochs.iter().map(|e| e.bucket_stale_routes).sum()
-    }
-
     fn mean_nonzero<I: Iterator<Item = u64>>(values: I) -> f64 {
         let (mut sum, mut count) = (0u64, 0u64);
         for v in values.filter(|&v| v > 0) {
@@ -418,11 +392,11 @@ impl InterleavedReport {
                 format!(
                     concat!(
                         "{{\"epoch\":{},\"joins\":{},\"leaves\":{},",
-                        "\"flushed_routes\":{},\"bucket_stale_routes\":{},",
+                        "\"flushed_routes\":{},",
                         "\"rows_changed\":{},\"alive_after\":{},\"byzantine_after\":{},",
                         "\"snapshot\":{{\"rebuild_ns\":{},\"patch_ns\":{},",
                         "\"rows_patched\":{},\"rows_in_place\":{},\"compacted\":{},",
-                        "\"fallback_rebuild\":{},\"skipped\":{}}},",
+                        "\"fallback_rebuild\":{}}},",
                         "\"failure\":{},\"survivability\":{},",
                         "\"phases\":{},\"batch\":{}}}"
                     ),
@@ -430,7 +404,6 @@ impl InterleavedReport {
                     e.joins,
                     e.leaves,
                     e.flushed_routes,
-                    e.bucket_stale_routes,
                     e.rows_changed,
                     e.alive_after,
                     e.byzantine_after,
@@ -440,7 +413,6 @@ impl InterleavedReport {
                     e.snapshot.rows_in_place,
                     e.snapshot.compacted,
                     e.snapshot.fallback_rebuild,
-                    e.snapshot.skipped,
                     failure,
                     survivability,
                     e.phases.to_json(),
@@ -468,27 +440,20 @@ impl QueryEngine {
     ///
     /// Per epoch: route `queries_per_epoch` fresh uniform queries in parallel, then
     /// apply `churn.events_for(alive)` join/leave events through the maintenance
-    /// heuristic, then flush the cached routes whose buckets the churn touched. All
-    /// randomness derives from `master_seed`, so the whole trajectory is reproducible
-    /// at any thread count.
+    /// heuristic, then evict the cached routes whose walks read a row the churn
+    /// changed. All randomness derives from `master_seed`, so the whole trajectory is
+    /// reproducible at any thread count.
     ///
     /// One compiled snapshot is kept alive across epochs and **incrementally patched**
-    /// instead of recompiled per batch — O(touched · ℓ) per epoch instead of
-    /// O(nodes + links). By default each epoch's maintainer report deltas are merged
-    /// into one typed [`ChurnDelta`] and applied via
+    /// instead of recompiled per batch — O(changed rows) per epoch instead of
+    /// O(nodes + links). Each epoch's maintainer report deltas are merged into one
+    /// typed [`ChurnDelta`] and applied via
     /// [`FrozenView::apply_delta`](faultline_core::FrozenView::apply_delta) (diffed
-    /// rows written directly, no recompute);
-    /// [`EngineConfig::maintenance`](crate::EngineConfig::maintenance) selects the
-    /// touched-list recompute
-    /// ([`SnapshotMaintenance::TouchedList`]) or the rebuild-per-epoch baseline
-    /// ([`SnapshotMaintenance::Rebuild`]) —
-    /// identical epoch reports, different maintenance cost. The same delta drives
-    /// row-level cache invalidation
-    /// ([`QueryEngine::invalidate_delta`](crate::QueryEngine::invalidate_delta);
-    /// [`EngineConfig::row_invalidation`](crate::EngineConfig::row_invalidation)
-    /// `(false)` restores the bucket-mask flush). The snapshot
-    /// [`QueryEngine::run_batch`] keeps is dropped when the run starts, so the
-    /// engine never holds two. Per-epoch maintenance work is reported in
+    /// rows written directly, no recompute). The same delta drives row-level cache
+    /// invalidation
+    /// ([`QueryEngine::invalidate_delta`](crate::QueryEngine::invalidate_delta)). The
+    /// snapshot [`QueryEngine::run_batch`] keeps is dropped when the run starts, so
+    /// the engine never holds two. Per-epoch maintenance work is reported in
     /// [`EpochReport::snapshot`].
     ///
     /// Queries are drawn uniformly (honest-endpoint uniform when the byzantine
@@ -588,14 +553,14 @@ impl QueryEngine {
             });
 
             let mut work = SnapshotWork::default();
-            if !self.config().frozen_enabled() {
-                // Frozen path disabled: route misses (if any) over the live graph.
-                work.skipped = true;
-            } else if snapshot.is_none() {
-                let (view, nanos) = self.freeze(network);
-                snapshot = Some(view);
-                work.rebuild_nanos = nanos;
-            }
+            let live = match snapshot.as_mut() {
+                Some(live) => live,
+                None => {
+                    let (view, nanos) = self.freeze(network);
+                    work.rebuild_nanos = nanos;
+                    snapshot.insert(view)
+                }
+            };
 
             let batch_seed = seed_for_trial(master_seed, epoch as u64);
             let context = EpochWorkload {
@@ -606,7 +571,7 @@ impl QueryEngine {
                 adversaries: self.adversaries(),
             };
             let batch = workload(network, &context);
-            let batch_report = self.run_batch_with_snapshot(network, &batch, snapshot.as_ref());
+            let batch_report = self.run_batch_with_snapshot(network, &batch, Some(live));
             let survivability = oracle.as_ref().map(|oracle| {
                 classify_survivability(batch.pairs(), batch_report.outcomes(), oracle, n)
             });
@@ -629,19 +594,17 @@ impl QueryEngine {
                 churn.join_probability,
                 &mut churn_rng,
             );
-            let mut touched = Vec::with_capacity(schedule.len());
             let mut epoch_delta = ChurnDelta::new();
             let (mut joins, mut leaves) = (0usize, 0usize);
             for event in schedule.events() {
                 // Joins and leaves mutate link tables beyond the churned position (ring
-                // splicing, link redirection, dangling-link repair); the reports carry
-                // both the flat touched set and the typed row diffs, so invalidation
-                // and snapshot patching cover the full blast radius at row precision.
+                // splicing, link redirection, dangling-link repair); the reports' typed
+                // row diffs cover that full blast radius, so invalidation and snapshot
+                // patching work at row precision.
                 match *event {
                     ChurnEvent::Join(p) => {
                         if let Ok(report) = network.join(p, &mut churn_rng) {
                             joins += 1;
-                            touched.extend(report.touched_nodes);
                             epoch_delta.absorb(report.delta);
                             if conscripting {
                                 // A join either conscripts the newcomer or clears any
@@ -657,7 +620,6 @@ impl QueryEngine {
                     ChurnEvent::Leave(p) => {
                         if let Ok(report) = network.leave(p, &mut churn_rng) {
                             leaves += 1;
-                            touched.extend(report.touched_nodes);
                             epoch_delta.absorb(report.delta);
                             // A departing adversary loses its position.
                             self.adversary_churn(p, false, false);
@@ -665,41 +627,17 @@ impl QueryEngine {
                     }
                 }
             }
-            // What the coarse mask would have flushed (counted before evicting), then
-            // the actual eviction: row-level from the delta by default, the bucket
-            // mask when the baseline is requested.
-            let bucket_stale_routes = self.stale_by_buckets(&touched, n);
-            let flushed_routes = if self.config().row_invalidation_enabled() {
-                self.invalidate_delta(&epoch_delta, n)
-            } else {
-                self.invalidate_nodes(&touched, n)
-            };
+            let flushed_routes = self.invalidate_delta(&epoch_delta, n);
 
-            // Publish the next epoch's routes: patch the changed rows in place, or
-            // drop the snapshot so the next epoch recompiles (rebuild baseline).
-            if let Some(live) = snapshot.as_mut() {
-                let patch = |live: &mut FrozenView| match self.config().maintenance_mode() {
-                    SnapshotMaintenance::Delta => {
-                        Some(live.apply_delta_with(network.graph(), &epoch_delta, self.telemetry()))
-                    }
-                    SnapshotMaintenance::TouchedList => {
-                        Some(live.apply_churn_with(network.graph(), &touched, self.telemetry()))
-                    }
-                    SnapshotMaintenance::Rebuild => None,
-                };
-                // xlint: allow(determinism) -- patch cost is reported in SnapshotWork only, never read by routing
-                let started = Instant::now();
-                match patch(live) {
-                    Some(stats) => {
-                        work.patch_nanos = started.elapsed().as_nanos() as u64;
-                        work.rows_patched = stats.rows_patched;
-                        work.rows_in_place = stats.rows_in_place;
-                        work.compacted = stats.compacted;
-                        work.fallback_rebuild = stats.rebuilt;
-                    }
-                    None => snapshot = None,
-                }
-            }
+            // Publish the next epoch's routes: patch the changed rows in place.
+            // xlint: allow(determinism) -- patch cost is reported in SnapshotWork only, never read by routing
+            let started = Instant::now();
+            let stats = live.apply_delta_with(network.graph(), &epoch_delta, self.telemetry());
+            work.patch_nanos = started.elapsed().as_nanos() as u64;
+            work.rows_patched = stats.rows_patched;
+            work.rows_in_place = stats.rows_in_place;
+            work.compacted = stats.compacted;
+            work.fallback_rebuild = stats.rebuilt;
 
             reports.push(EpochReport {
                 epoch,
@@ -707,7 +645,6 @@ impl QueryEngine {
                 joins,
                 leaves,
                 flushed_routes,
-                bucket_stale_routes,
                 rows_changed: epoch_delta.len(),
                 alive_after: network.alive_count(),
                 byzantine_after: self
@@ -798,12 +735,7 @@ impl QueryEngine {
                 work.patch_nanos = patch_started.elapsed().as_nanos() as u64;
                 work.fallback_rebuild = stats.rebuilt;
             }
-            work.flushed_routes = if self.config().row_invalidation_enabled() {
-                self.invalidate_delta(&delta, n)
-            } else {
-                let changed: Vec<NodeId> = delta.changed_nodes().collect();
-                self.invalidate_nodes(&changed, n)
-            };
+            work.flushed_routes = self.invalidate_delta(&delta, n);
         }
         work.recovery_nanos = started.elapsed().as_nanos() as u64;
         work

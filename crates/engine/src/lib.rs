@@ -12,20 +12,19 @@
 //!   is assigned to a shard by its source bucket, and each shard owns a private route
 //!   cache and processes its queries in a fixed order. No locks are taken on the hot
 //!   path, and results are bit-for-bit identical at any thread count.
-//! * **Compiled snapshots** — the engine freezes the overlay into a CSR
-//!   [`FrozenView`](faultline_core::FrozenView) once per topology stamp
+//! * **Compiled snapshots** — every lookup routes over a CSR
+//!   [`FrozenView`](faultline_core::FrozenView). The engine freezes the overlay once
+//!   per topology stamp
 //!   ([`Network::topology_stamp`](faultline_core::Network::topology_stamp)), keeps
-//!   it across batches until the stamp changes, and routes every cache miss
-//!   through the zero-allocation frozen kernel (contiguous `u32` neighbour scans,
-//!   inlined distance, per-worker scratch buffers, counter-based per-query RNG); the
-//!   live-graph walk remains available via [`EngineConfig::frozen`] as the baseline.
+//!   it across batches until the stamp changes, and routes every cache miss through
+//!   the zero-allocation frozen kernel (contiguous `u32` neighbour scans, inlined
+//!   distance, per-worker scratch buffers, counter-based per-query RNG).
 //! * **Route caching** — a per-shard LRU keyed by `(source bucket, target bucket)`
-//!   ([`RouteCache`]). Entries remember both the exact nodes their walk visited (row
-//!   dependencies) and a coarse bucket mask. Churn expressed as a typed
-//!   [`ChurnDelta`] evicts precisely the entries whose cached walk depends on a
-//!   changed row ([`QueryEngine::invalidate_delta`] — survivors replay
-//!   bit-identically on the patched topology); out-of-band mutations fall back to
-//!   the bucket-mask flush ([`QueryEngine::invalidate_nodes`]).
+//!   ([`RouteCache`]). Entries remember the exact nodes their walk visited (row
+//!   dependencies). Churn expressed as a typed [`ChurnDelta`] evicts precisely the
+//!   entries whose cached walk depends on a changed row
+//!   ([`QueryEngine::invalidate_delta`] — survivors replay bit-identically on the
+//!   patched topology).
 //! * **Live-churn interleaving** — [`QueryEngine::run_interleaved`] alternates routing
 //!   epochs with `faultline_failure` churn events and the Section 5 maintenance
 //!   heuristic (`Network::join`/`leave`), measuring throughput and success rate *while*
@@ -34,9 +33,7 @@
 //!   it compiles one snapshot at its first epoch and, as each epoch's churn moves
 //!   the stamp, **incrementally patches** it from the epoch's merged
 //!   [`ChurnDelta`] instead of refreezing — maintainer-captured row diffs written
-//!   straight into the snapshot, O(changed rows) with no usable-neighbour recompute;
-//!   [`EngineConfig::maintenance`] selects the touched-list recompute or
-//!   rebuild-per-epoch baselines ([`SnapshotMaintenance`]).
+//!   straight into the snapshot, O(changed rows) with no usable-neighbour recompute.
 //!   [`QueryEngine::run_interleaved_with`] accepts a caller-supplied workload
 //!   callback ([`EpochWorkload`]) so skewed traffic — the scenario DSL's Zipf,
 //!   hotspot, flash-crowd, and diurnal generators — drives the same pipeline.
@@ -55,7 +52,7 @@
 //!   damage with the traffic: a [`FailureSchedule`] cycles region crashes,
 //!   two-sided partitions, and heal events through the same typed-delta pipeline
 //!   churn uses (snapshot rows patched in place, caches evicted at row
-//!   granularity — no rebuild, no bucket-mask flush). Each failure-configured
+//!   granularity — no rebuild). Each failure-configured
 //!   epoch builds a [`ConnectivityOracle`](faultline_theory::ConnectivityOracle)
 //!   over the damaged overlay and classifies every query against ground truth
 //!   ([`SurvivabilitySplit`]): lookups the oracle proves disconnected leave the
@@ -68,7 +65,7 @@
 //!   carry the batch's measurement floor and quantization share, so sub-resolution
 //!   readings are visible as clock artifacts instead of masquerading as precise.
 //! * **Telemetry** — the engine records per-phase wall-time histograms (`freeze`,
-//!   `apply_delta`/`apply_churn`, `invalidate`, per-shard `batch_shard`, `compact`),
+//!   `apply_delta`, `invalidate`, per-shard `batch_shard`, `compact`),
 //!   per-shard cache counters (hits/misses/evictions/occupancy), and a bounded ring
 //!   of epoch-stamped structural events (compactions, rebuild fallbacks, cache
 //!   evictions/invalidations, adversary convictions). Recording is lock-free relaxed
@@ -107,12 +104,8 @@ mod run;
 mod stats;
 
 pub use batch::QueryBatch;
-pub use cache::{
-    bucket_of, buckets_mask, buckets_mask_u32, CachedRoute, RouteCache, RowSet, NUM_BUCKETS,
-};
-pub use config::{
-    ByzantineConfig, ByzantineMembership, ConfigError, EngineConfig, SnapshotMaintenance,
-};
+pub use cache::{bucket_of, CachedRoute, RouteCache, RowSet, NUM_BUCKETS};
+pub use config::{ByzantineConfig, ByzantineMembership, ConfigError, EngineConfig};
 pub use failures::{FailureEvent, FailureSchedule, FailureWork, SurvivabilitySplit};
 pub use interleave::{ChurnMix, EpochReport, EpochWorkload, InterleavedReport, SnapshotWork};
 pub use run::QueryEngine;
@@ -120,8 +113,8 @@ pub use stats::{AdversarySplit, BatchReport, LatencyDigest, QueryOutcome};
 
 // Re-exported so byzantine-lane callers need no direct `faultline_routing` dependency.
 pub use faultline_routing::ByzantineSet;
-// Re-exported so churn-delta callers (`QueryEngine::invalidate_delta`, maintenance
-// mode selection) need no direct `faultline_overlay` dependency.
+// Re-exported so churn-delta callers (`QueryEngine::invalidate_delta`) need no
+// direct `faultline_overlay` dependency.
 pub use faultline_overlay::{ChurnDelta, RowChangeKind, RowDelta};
 // Re-exported so telemetry consumers (`QueryEngine::telemetry`, per-epoch phase
 // breakdowns) need no direct `faultline_telemetry` dependency.

@@ -1,7 +1,7 @@
 //! The [`QueryEngine`]: sharded, parallel batch execution.
 
 use crate::batch::QueryBatch;
-use crate::cache::{bucket_of, buckets_mask, buckets_mask_u32, CachedRoute, RouteCache, RowSet};
+use crate::cache::{bucket_of, CachedRoute, RouteCache, RowSet};
 use crate::config::{ByzantineMembership, EngineConfig};
 use crate::stats::{BatchReport, QueryOutcome};
 use faultline_core::{FrozenView, Network, NetworkView};
@@ -24,11 +24,14 @@ use std::time::Instant;
 /// reproducible at any thread count: randomness comes from `(batch seed, query index)`
 /// and cache state evolves per shard in a fixed order.
 ///
-/// Caches persist across batches so steady-state traffic sees realistic hit rates; the
-/// churn layer invalidates them via [`QueryEngine::invalidate_nodes`] (done
-/// automatically by [`QueryEngine::run_interleaved`](crate::QueryEngine::run_interleaved)).
-/// The compiled snapshot persists too, keyed by the network's topology stamp, so
-/// [`QueryEngine::run_batch`] freezes once per topology rather than once per batch.
+/// Caches persist across batches so steady-state traffic sees realistic hit rates;
+/// churn evicts exactly the entries whose walks read a changed row, via
+/// [`QueryEngine::invalidate_delta`] (done automatically by
+/// [`QueryEngine::run_interleaved`](crate::QueryEngine::run_interleaved)). Every
+/// lookup routes over a compiled [`FrozenView`]: the engine's own snapshot, kept
+/// across batches and keyed by the network's topology stamp so
+/// [`QueryEngine::run_batch`] freezes once per topology rather than once per batch,
+/// or a snapshot the caller maintains.
 #[derive(Debug)]
 pub struct QueryEngine {
     config: EngineConfig,
@@ -154,30 +157,6 @@ impl QueryEngine {
         self.caches.iter().map(RouteCache::len).sum()
     }
 
-    /// Flushes cache entries whose routes traversed the buckets of any listed node.
-    /// Returns the number of entries dropped.
-    ///
-    /// This is the coarse, bucket-granular hammer: call it whenever the topology
-    /// changes out-of-band (failure plans, manual `fail_node` calls) and no typed
-    /// delta exists to name the exact changed rows. The interleaved runner uses the
-    /// row-level [`QueryEngine::invalidate_delta`] instead (unless
-    /// [`EngineConfig::row_invalidation`] is off).
-    pub fn invalidate_nodes(&mut self, nodes: &[NodeId], n: u64) -> usize {
-        if nodes.is_empty() {
-            return 0;
-        }
-        let telemetry = self.telemetry.clone();
-        let _span = telemetry.span(Phase::Invalidate);
-        let mask = buckets_mask(nodes, n);
-        let flushed: usize = self
-            .caches
-            .iter_mut()
-            .map(|cache| cache.invalidate(mask))
-            .sum();
-        telemetry.event(EventKind::CacheInvalidation, saturate_u32(flushed as u64));
-        flushed
-    }
-
     /// Flushes exactly the cache entries whose cached walk visited a row the delta
     /// changed (endpoints included) — row-level invalidation. Returns the number of
     /// entries dropped.
@@ -205,21 +184,6 @@ impl QueryEngine {
             .sum();
         telemetry.event(EventKind::CacheInvalidation, saturate_u32(flushed as u64));
         flushed
-    }
-
-    /// Counts (without evicting) the cache entries the bucket-granular mask for
-    /// `nodes` would flush — the old-scheme baseline reported alongside row-level
-    /// invalidation in interleaved epoch reports.
-    #[must_use]
-    pub fn stale_by_buckets(&self, nodes: &[NodeId], n: u64) -> usize {
-        if nodes.is_empty() {
-            return 0;
-        }
-        let mask = buckets_mask(nodes, n);
-        self.caches
-            .iter()
-            .map(|cache| cache.stale_count(mask))
-            .sum()
     }
 
     /// Drops every cached route.
@@ -250,8 +214,8 @@ impl QueryEngine {
         (view, nanos)
     }
 
-    /// Drops the snapshot held for [`QueryEngine::run_batch`] (used by the
-    /// interleaved runner, which maintains its own, so the engine never holds two).
+    /// Drops the engine's own snapshot (used by the interleaved runner, which
+    /// maintains its own, so the engine never holds two).
     pub(crate) fn drop_snapshot(&mut self) {
         self.snapshot = None;
     }
@@ -328,15 +292,32 @@ impl QueryEngine {
     }
 
     /// Executes a batch of lookups in parallel and reports per-query outcomes plus
-    /// aggregate statistics. See the crate docs for the execution model.
+    /// aggregate statistics, routing over the engine's own snapshot. See the crate
+    /// docs for the execution model.
     ///
     /// Freezes once per topology: the compiled snapshot (O(nodes + links)) is kept
     /// between calls, keyed by [`Network::topology_stamp`], and reused for as long as
     /// the stamp matches. A changed stamp drops the old snapshot before the new one
     /// is compiled, so the engine never holds two.
     pub fn run_batch(&mut self, network: &Network, batch: &QueryBatch) -> BatchReport {
-        if !self.config.frozen_enabled() {
-            return self.run_batch_with_snapshot(network, batch, None);
+        self.run_batch_with_snapshot(network, batch, None)
+    }
+
+    /// Executes a batch over a caller-owned snapshot, or over the engine's own when
+    /// `frozen` is `None` (exactly [`QueryEngine::run_batch`]).
+    ///
+    /// A caller-owned snapshot is for callers that maintain one across batches —
+    /// the interleaved runner patches one `FrozenView` through churn epochs instead
+    /// of recompiling per batch. It must describe `network`'s current topology; a
+    /// stale snapshot routes the epoch it was patched to, not the live graph.
+    pub fn run_batch_with_snapshot(
+        &mut self,
+        network: &Network,
+        batch: &QueryBatch,
+        frozen: Option<&FrozenView>,
+    ) -> BatchReport {
+        if let Some(snapshot) = frozen {
+            return self.route_batch(network, batch, snapshot);
         }
         let stamp = network.topology_stamp();
         let held = match self.snapshot.take() {
@@ -348,25 +329,19 @@ impl QueryEngine {
                 self.freeze(network).0
             }
         };
-        let report = self.run_batch_with_snapshot(network, batch, Some(&held));
+        let report = self.route_batch(network, batch, &held);
         self.snapshot = Some((stamp, held));
         report
     }
 
-    /// Executes a batch over a caller-owned snapshot (or the live graph when `None`).
-    ///
-    /// This is the entry point for callers that maintain a snapshot across batches —
-    /// the interleaved runner patches one `FrozenView` through churn epochs instead of
-    /// recompiling per batch. The snapshot must describe `network`'s current topology;
-    /// a stale snapshot routes the epoch it was patched to, not the live graph.
-    pub fn run_batch_with_snapshot(
+    /// Routes a batch over `frozen`, which must describe `network`'s topology.
+    fn route_batch(
         &mut self,
         network: &Network,
         batch: &QueryBatch,
-        frozen: Option<&FrozenView>,
+        frozen: &FrozenView,
     ) -> BatchReport {
         let n = network.len();
-        let caching = self.config.cache_capacity_entries() > 0;
         // Failure-epoch runs grant failed lookups a bounded diversified-retry
         // budget; without a schedule the honest path is single-attempt, exactly
         // the pre-resilience behaviour.
@@ -375,7 +350,7 @@ impl QueryEngine {
             .failures_config()
             .map_or(0, crate::failures::FailureSchedule::retry_budget);
         self.resolve_adversaries(network);
-        let view = self.routing_view(network);
+        let router = self.routing_view(network).router();
         // Byzantine lane: a non-empty resolved adversary set routes every query
         // through redundant diversified walks, bypassing the route cache (a cached
         // digest cannot tell which walks an adversary swallowed). An empty set is the
@@ -383,8 +358,8 @@ impl QueryEngine {
         let byzantine = match (self.config.byzantine_config(), self.adversaries.as_ref()) {
             (Some(spec), Some(set)) if !set.is_empty() => {
                 let inner = match spec.strategy_override() {
-                    Some(strategy) => view.router().with_strategy(strategy),
-                    None => view.router(),
+                    Some(strategy) => router.with_strategy(strategy),
+                    None => router,
                 };
                 Some(ByzantineLane {
                     router: RedundantRouter::new(inner, spec.redundancy_factor()),
@@ -393,19 +368,14 @@ impl QueryEngine {
             }
             _ => None,
         };
-        // The live-graph fallback only records result paths when caching needs the
-        // touched-bucket masks (the frozen kernel records its path in scratch for
-        // free).
-        let view = view.with_path_recording(caching && frozen.is_none() && byzantine.is_none());
 
         // Assign queries to shards by source bucket; shard order is part of the
         // deterministic contract (same batch ⇒ same per-shard sequences). Queries whose
         // endpoints are not even grid points fail up front — the router would report
         // them as dead endpoints anyway, and bucketing must not panic on them.
-        // Kernel dispatch is resolved exactly once per batch: a caller-owned
-        // snapshot carries its own kernel (the interleaved runner stamps the
-        // engine's at freeze time); the live-graph fallback never consults it.
-        let kernel = frozen.map_or(self.kernel, FrozenView::kernel);
+        // Kernel dispatch is resolved exactly once per batch: every snapshot
+        // carries its own kernel (the engine stamps its own at freeze time).
+        let kernel = frozen.kernel();
         let shard_count = self.caches.len();
         let mut shard_queries: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
         let mut outcomes: Vec<Option<QueryOutcome>> = vec![None; batch.len()];
@@ -462,7 +432,6 @@ impl QueryEngine {
                         let (source, target) = batch.pairs()[index];
                         let outcome = match byzantine {
                             Some(lane) => route_one_byzantine(
-                                view,
                                 frozen,
                                 lane,
                                 &mut scratch,
@@ -472,7 +441,6 @@ impl QueryEngine {
                                 target,
                             ),
                             None => route_one(
-                                view,
                                 frozen,
                                 cache,
                                 &mut scratch,
@@ -519,11 +487,8 @@ fn diversified(router: Router) -> Router {
     }
 }
 
-/// Routes (or cache-serves) one query on a shard worker.
-///
-/// Cache misses go through the frozen CSR kernel when a snapshot was compiled for the
-/// batch (the default), falling back to the live-graph walk otherwise; both produce
-/// identical outcomes for the deterministic strategies.
+/// Routes (or cache-serves) one query on a shard worker; cache misses go through
+/// the frozen CSR kernel.
 ///
 /// When `retry_budget > 0` (failure epochs), an undelivered lookup re-routes up to
 /// that many more times, each attempt with a seed derived from `(batch seed, query
@@ -533,8 +498,7 @@ fn diversified(router: Router) -> Router {
 /// `deps` is the worker's reusable row-dependency buffer; it is cleared here.
 #[allow(clippy::too_many_arguments)]
 fn route_one(
-    view: NetworkView<'_>,
-    frozen: Option<&FrozenView>,
+    frozen: &FrozenView,
     cache: &mut RouteCache,
     scratch: &mut RouteScratch,
     deps: &mut Vec<u32>,
@@ -564,61 +528,33 @@ fn route_one(
         };
     }
     let base_seed = seed_for_trial(batch_seed, index as u64);
-    let endpoint_bits = (1 << source_bucket) | (1 << target_bucket);
-    // The visited-node list (the walk's row dependencies) and the touched-bucket
-    // mask only matter to a cache entry; both are skipped on the uncached hot path.
-    // Retries accumulate into the same dependency set: every attempt's walk is a
-    // row dependency of the final cached digest.
+    // The visited-node list (the walk's row dependencies) only matters to a cache
+    // entry; it is skipped on the uncached hot path. Retries accumulate into the
+    // same dependency set: every attempt's walk is a row dependency of the final
+    // cached digest.
     deps.clear();
-    let mut touched = endpoint_bits;
     let mut total_hops = 0u64;
     let mut attempts = 0u32;
     let (delivered, hops, recoveries) = loop {
-        let seed = if attempts == 0 {
-            base_seed
+        let result = if attempts == 0 {
+            frozen.route_seeded(source, target, base_seed, scratch)
         } else {
-            seed_for_trial(base_seed, u64::from(attempts))
+            let mut rng = SmallRng::seed_from_u64(seed_for_trial(base_seed, u64::from(attempts)));
+            diversified(frozen.router()).route_frozen(
+                frozen.routes(),
+                source,
+                target,
+                &mut rng,
+                scratch,
+            )
         };
-        let (d, h, r) = match frozen {
-            Some(snapshot) => {
-                let result = if attempts == 0 {
-                    snapshot.route_seeded(source, target, seed, scratch)
-                } else {
-                    let mut rng = SmallRng::seed_from_u64(seed);
-                    diversified(snapshot.router()).route_frozen(
-                        snapshot.routes(),
-                        source,
-                        target,
-                        &mut rng,
-                        scratch,
-                    )
-                };
-                if cache.enabled() {
-                    deps.reserve(scratch.path().len() + 2);
-                    deps.extend_from_slice(scratch.path());
-                    touched |= buckets_mask_u32(scratch.path(), n);
-                }
-                (result.is_delivered(), result.hops, result.recoveries)
-            }
-            None => {
-                let result = if attempts == 0 {
-                    view.route_seeded(source, target, seed)
-                } else {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    diversified(view.router()).route(view.graph(), source, target, &mut rng)
-                };
-                if let Some(path) = &result.path {
-                    deps.reserve(path.len() + 2);
-                    deps.extend(path.iter().map(|&p| p as u32));
-                    touched |= buckets_mask(path, n);
-                }
-                (result.is_delivered(), result.hops, result.recoveries)
-            }
-        };
+        if cache.enabled() {
+            deps.extend_from_slice(scratch.path());
+        }
         attempts += 1;
-        total_hops += h;
-        if d || attempts > retry_budget {
-            break (d, h, r);
+        total_hops += result.hops;
+        if result.is_delivered() || attempts > retry_budget {
+            break (result.is_delivered(), result.hops, result.recoveries);
         }
     };
     if cache.enabled() {
@@ -636,7 +572,7 @@ fn route_one(
     let volatile = attempts > 1
         || (recoveries > 0
             && matches!(
-                view.router().strategy(),
+                frozen.router().strategy(),
                 FaultStrategy::RandomReroute { .. }
             ));
     cache.insert(
@@ -646,7 +582,6 @@ fn route_one(
             delivered,
             hops,
             recoveries,
-            touched,
         },
         deps,
         volatile,
@@ -666,18 +601,15 @@ fn route_one(
 }
 
 /// Routes one query on the byzantine lane: up to `redundancy` diversified walks over
-/// the CSR snapshot (or the live graph when no snapshot was compiled), each truncated
-/// at the first adversary it steps onto. Never consults the route cache.
+/// the CSR snapshot, each truncated at the first adversary it steps onto. Never
+/// consults the route cache.
 ///
 /// Determinism matches the honest path's contract: randomness derives from
-/// `(batch seed, query index)` — `SmallRng` over the snapshot, `StdRng` over the live
-/// graph, mirroring the honest kernels — so results are identical at any thread
-/// count, and identical to a sequential loop of per-query
-/// [`RedundantRouter::route_frozen`] calls with the same seeds.
-#[allow(clippy::too_many_arguments)]
+/// `(batch seed, query index)` through a `SmallRng`, like the honest kernel, so
+/// results are identical at any thread count, and identical to a sequential loop of
+/// per-query [`RedundantRouter::route_frozen`] calls with the same seeds.
 fn route_one_byzantine(
-    view: NetworkView<'_>,
-    frozen: Option<&FrozenView>,
+    frozen: &FrozenView,
     lane: ByzantineLane<'_>,
     scratch: &mut RouteScratch,
     batch_seed: u64,
@@ -687,25 +619,15 @@ fn route_one_byzantine(
 ) -> QueryOutcome {
     // xlint: allow(determinism) -- per-query latency stamp: reported in percentiles only, never read by routing
     let started = Instant::now();
-    let seed = seed_for_trial(batch_seed, index as u64);
-    let result = match frozen {
-        Some(snapshot) => {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            lane.router.route_frozen(
-                snapshot.routes(),
-                lane.adversaries,
-                source,
-                target,
-                &mut rng,
-                scratch,
-            )
-        }
-        None => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            lane.router
-                .route(view.graph(), lane.adversaries, source, target, &mut rng)
-        }
-    };
+    let mut rng = SmallRng::seed_from_u64(seed_for_trial(batch_seed, index as u64));
+    let result = lane.router.route_frozen(
+        frozen.routes(),
+        lane.adversaries,
+        source,
+        target,
+        &mut rng,
+        scratch,
+    );
     QueryOutcome {
         source,
         target,
@@ -767,53 +689,37 @@ mod tests {
         assert_eq!(cached.cached_routes(), 0);
     }
 
-    #[test]
-    fn invalidation_targets_touched_buckets_only() {
-        let net = network(1 << 9, 4);
-        let mut engine = QueryEngine::new(EngineConfig::default().threads(1));
-        let batch = QueryBatch::uniform(&net, 3_000, 5);
-        engine.run_batch(&net, &batch);
-        let populated = engine.cached_routes();
-        assert!(populated > 0);
-        assert_eq!(engine.invalidate_nodes(&[], net.len()), 0);
-        // Node 0's bucket is on many leftward routes; flushing it drops some but not
-        // (in general) all entries.
-        let flushed = engine.invalidate_nodes(&[0], net.len());
-        assert!(flushed > 0, "bucket 0 must appear in some cached route");
-        assert_eq!(engine.cached_routes(), populated - flushed);
+    /// Routes query `i` of `batch` over the live graph with the engine's per-query
+    /// seed — the oracle every engine outcome must equal under a deterministic
+    /// strategy.
+    fn live_oracle(net: &Network, batch: &QueryBatch) -> Vec<(bool, u64, u64)> {
+        let view = net.view();
+        batch
+            .pairs()
+            .iter()
+            .enumerate()
+            .map(|(i, &(s, t))| {
+                let r = view.route_seeded(s, t, seed_for_trial(batch.seed(), i as u64));
+                (r.is_delivered(), r.hops, r.recoveries)
+            })
+            .collect()
+    }
+
+    fn uncached_outcomes(net: &Network, batch: &QueryBatch) -> Vec<(bool, u64, u64)> {
+        let mut engine = QueryEngine::new(EngineConfig::default().threads(2).cache_capacity(0));
+        engine
+            .run_batch(net, batch)
+            .outcomes()
+            .iter()
+            .map(|o| (o.delivered, o.hops, o.recoveries))
+            .collect()
     }
 
     #[test]
-    fn frozen_and_classic_engines_agree_bit_for_bit() {
+    fn uncached_engine_matches_the_live_oracle_on_a_healthy_overlay() {
         let net = network(1 << 9, 8);
         let batch = QueryBatch::uniform(&net, 3_000, 21);
-        for cache_capacity in [0usize, 512] {
-            let mut fast = QueryEngine::new(
-                EngineConfig::default()
-                    .threads(2)
-                    .cache_capacity(cache_capacity),
-            );
-            let mut classic = QueryEngine::new(
-                EngineConfig::default()
-                    .threads(2)
-                    .cache_capacity(cache_capacity)
-                    .frozen(false),
-            );
-            let a = fast.run_batch(&net, &batch);
-            let b = classic.run_batch(&net, &batch);
-            let digest = |r: &BatchReport| {
-                r.outcomes()
-                    .iter()
-                    .map(|o| (o.source, o.target, o.delivered, o.hops, o.cached))
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(
-                digest(&a),
-                digest(&b),
-                "frozen path diverged at cache capacity {cache_capacity}"
-            );
-            assert_eq!(fast.cached_routes(), classic.cached_routes());
-        }
+        assert_eq!(uncached_outcomes(&net, &batch), live_oracle(&net, &batch));
     }
 
     #[test]
@@ -851,31 +757,17 @@ mod tests {
     }
 
     #[test]
-    fn frozen_and_classic_engines_agree_on_a_damaged_overlay() {
+    fn uncached_engine_matches_the_live_oracle_on_a_damaged_overlay() {
         use faultline_failure::NodeFailure;
         let mut rng = StdRng::seed_from_u64(13);
         let mut net = Network::build(&NetworkConfig::paper_default(1 << 9), &mut rng);
         let mut failure_rng = StdRng::seed_from_u64(14);
         net.apply_failure(&NodeFailure::fraction(0.35), &mut failure_rng);
         let batch = QueryBatch::uniform(&net, 5_000, 31);
-        let run = |frozen: bool| {
-            let mut engine = QueryEngine::new(
-                EngineConfig::default()
-                    .threads(2)
-                    .cache_capacity(0)
-                    .frozen(frozen),
-            );
-            let report = engine.run_batch(&net, &batch);
-            report
-                .outcomes()
-                .iter()
-                .map(|o| (o.delivered, o.hops, o.recoveries))
-                .collect::<Vec<_>>()
-        };
-        let fast = run(true);
-        assert_eq!(fast, run(false));
+        let engine = uncached_outcomes(&net, &batch);
+        assert_eq!(engine, live_oracle(&net, &batch));
         assert!(
-            fast.iter().any(|&(delivered, _, _)| !delivered),
+            engine.iter().any(|&(delivered, _, _)| !delivered),
             "35% damage should break some searches"
         );
     }
@@ -905,17 +797,12 @@ mod tests {
         assert_eq!(engine.invalidate_delta(&ChurnDelta::new(), net.len()), 0);
         assert_eq!(engine.cached_routes(), populated);
         // A delta naming one changed row flushes exactly the entries whose walks
-        // visited it — and the coarse bucket mask would have flushed at least as
-        // many (node 0's whole bucket).
-        let bucket_stale = engine.stale_by_buckets(&[0], net.len());
+        // visited it.
         let mut delta = ChurnDelta::new();
         delta.record(0, RowChangeKind::Structural, true, vec![1]);
         let flushed = engine.invalidate_delta(&delta, net.len());
         assert!(flushed > 0, "node 0 is on some cached walk");
-        assert!(
-            flushed <= bucket_stale,
-            "row-level eviction ({flushed}) can never exceed the bucket mask ({bucket_stale})"
-        );
+        assert!(flushed < populated, "walks that dodged node 0 stay cached");
         assert_eq!(engine.cached_routes(), populated - flushed);
     }
 

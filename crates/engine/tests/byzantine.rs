@@ -13,6 +13,9 @@
 //!    join at a label the set still lists *clears* the stale conviction instead of
 //!    resurrecting it onto the fresh honest node.
 
+mod common;
+
+use common::{live_oracle, verdicts};
 use faultline_core::{ConstructionMode, Network, NetworkConfig};
 use faultline_engine::{
     BatchReport, ByzantineConfig, ByzantineSet, ChurnMix, EngineConfig, QueryBatch, QueryEngine,
@@ -132,13 +135,12 @@ proptest! {
     }
 
     /// Contract 2: an empty adversary set is the honest batch path bit for bit —
-    /// for explicit-empty and fraction-zero membership, frozen and live kernels,
-    /// cached and uncached configurations.
+    /// for explicit-empty and fraction-zero membership, cached and uncached
+    /// configurations. Uncached, both also answer like the live-graph oracle.
     #[test]
     fn empty_byzantine_set_is_bit_identical_to_the_honest_path(
         net_seed in any::<u64>(),
         batch_seed in any::<u64>(),
-        frozen in any::<bool>(),
         cached in any::<bool>(),
     ) {
         let cache_capacity = if cached { 512usize } else { 0 };
@@ -146,11 +148,13 @@ proptest! {
         let batch = QueryBatch::uniform(&net, 600, batch_seed);
         let base = EngineConfig::default()
             .threads(2)
-            .frozen(frozen)
             .cache_capacity(cache_capacity);
         let mut honest = QueryEngine::new(base.clone());
         let honest_report = honest.run_batch(&net, &batch);
         prop_assert!(!honest_report.is_byzantine());
+        if !cached {
+            prop_assert_eq!(verdicts(&honest_report), live_oracle(&net, &batch));
+        }
         for spec in [
             ByzantineConfig::explicit(ByzantineSet::new()),
             ByzantineConfig::fraction(0.0, 7),

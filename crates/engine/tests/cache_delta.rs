@@ -158,56 +158,26 @@ fn delta_invalidation_stays_exact_under_the_randomised_fault_strategy() {
 }
 
 #[test]
-fn row_invalidation_beats_the_bucket_mask_at_identical_results() {
-    // Two interleaved trajectories over identical networks, schedules and batches —
-    // the only difference is cache-eviction granularity. Row-level eviction must
-    // flush no more than the bucket mask would, keep the warm cache measurably
-    // hotter, and (delta rows being a subset of the bucket blast radius) the routing
-    // outcomes' delivery counts must match epoch for epoch.
-    let run = |row: bool| {
-        let mut net = incremental_network(1 << 10, 77);
-        let mut engine = QueryEngine::new(
-            EngineConfig::default()
-                .threads(2)
-                .cache_capacity(4096)
-                .row_invalidation(row),
-        );
-        engine.run_interleaved(&mut net, 6, 3_000, ChurnMix::balanced(4), 21)
-    };
-    let fine = run(true);
-    let coarse = run(false);
-    for (a, b) in fine.epochs().iter().zip(coarse.epochs()) {
-        assert!(
-            a.flushed_routes <= a.bucket_stale_routes,
-            "epoch {}: row-level flushed {} > bucket estimate {}",
-            a.epoch,
-            a.flushed_routes,
-            a.bucket_stale_routes
-        );
-        if a.epoch == 0 {
-            // Before any divergence the caches are identical, so the fine run's
-            // bucket estimate is exactly what the coarse run flushes.
-            assert_eq!(
-                a.bucket_stale_routes, b.flushed_routes,
-                "epoch 0: the baseline run must flush exactly what the estimate counted"
-            );
-        } else {
-            // Later epochs: the fine cache holds survivors on top of everything the
-            // coarse cache holds, so its bucket estimate can only be larger.
-            assert!(
-                a.bucket_stale_routes >= b.flushed_routes,
-                "epoch {}",
-                a.epoch
-            );
-        }
-        assert_eq!(a.joins, b.joins);
-        assert_eq!(a.leaves, b.leaves);
-        assert_eq!(a.alive_after, b.alive_after);
-    }
+fn interleaved_row_level_eviction_keeps_survivors_warm() {
+    // Trickle churn between epochs: each epoch's delta evicts only the cached walks
+    // that read a changed row, so every warm epoch starts with the survivors and
+    // serves more hits than a cache flushed at the epoch boundary (a cold start,
+    // which is what epoch 0 measures for the same batch size).
+    let mut net = incremental_network(1 << 10, 77);
+    let mut engine = QueryEngine::new(EngineConfig::default().threads(2).cache_capacity(4096));
+    let report = engine.run_interleaved(&mut net, 6, 3_000, ChurnMix::balanced(4), 21);
+    let cold_hits = report.epochs()[0].batch.cache_hits();
     assert!(
-        fine.warm_hit_rate() > coarse.warm_hit_rate(),
-        "row-level invalidation must keep the warm cache hotter: {:.4} vs {:.4}",
-        fine.warm_hit_rate(),
-        coarse.warm_hit_rate()
+        report.total_flushed_routes() > 0,
+        "churn must evict the walks it touched"
     );
+    for epoch in &report.epochs()[1..] {
+        assert!(
+            epoch.batch.cache_hits() > cold_hits,
+            "epoch {}: {} hits, no more than a cold cache's {}",
+            epoch.epoch,
+            epoch.batch.cache_hits(),
+            cold_hits
+        );
+    }
 }

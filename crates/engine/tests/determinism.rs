@@ -2,6 +2,9 @@
 //! thread count. This is the contract that makes the parallel engine usable for
 //! science — parallelism changes wall time, never answers.
 
+mod common;
+
+use common::{live_oracle, verdicts};
 use faultline_core::{ConstructionMode, Network, NetworkConfig};
 use faultline_engine::{ChurnMix, EngineConfig, QueryBatch, QueryEngine};
 use faultline_failure::NodeFailure;
@@ -52,22 +55,16 @@ fn hundred_thousand_queries_identical_across_thread_counts() {
 fn determinism_holds_with_caching_disabled_too() {
     let net = network(1 << 9, 3);
     let batch = QueryBatch::uniform(&net, 20_000, 77);
-    let run = |threads: usize, frozen: bool| {
-        let mut engine = QueryEngine::new(
-            EngineConfig::default()
-                .threads(threads)
-                .cache_capacity(0)
-                .frozen(frozen),
-        );
-        fingerprint(&engine.run_batch(&net, &batch))
+    let run = |threads: usize| {
+        let mut engine =
+            QueryEngine::new(EngineConfig::default().threads(threads).cache_capacity(0));
+        engine.run_batch(&net, &batch)
     };
-    let frozen_serial = run(1, true);
-    assert_eq!(frozen_serial, run(6, true));
-    // The classic live-graph path obeys the same contract, and (with the default
-    // deterministic strategy) agrees with the frozen kernel query for query.
-    let classic_serial = run(1, false);
-    assert_eq!(classic_serial, run(6, false));
-    assert_eq!(frozen_serial, classic_serial);
+    let serial = run(1);
+    assert_eq!(fingerprint(&serial), fingerprint(&run(6)));
+    // With the default deterministic strategy every query also answers exactly
+    // what a live-graph walk with the same per-query seed answers.
+    assert_eq!(verdicts(&serial), live_oracle(&net, &batch));
 }
 
 #[test]

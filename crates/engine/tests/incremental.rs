@@ -2,15 +2,16 @@
 //! epochs must be an *optimisation*, never a behaviour change.
 //!
 //! The interleaved runner keeps one `FrozenView` alive and patches it with each
-//! epoch's maintainer blast radius. Disabling that
-//! (`SnapshotMaintenance::Rebuild`) recompiles the snapshot every epoch — the
-//! pre-patching behaviour. Both modes must produce identical epoch reports (batch
-//! outcomes, join/leave counts, cache flushes, population trajectory); only the
-//! snapshot-maintenance timings may differ.
+//! epoch's typed churn delta. Every epoch must answer exactly what a snapshot frozen
+//! afresh from that epoch's topology answers; only the snapshot-maintenance timings
+//! may differ.
 
+mod common;
+
+use common::{live_oracle, verdicts, Verdicts};
 use faultline_core::{ConstructionMode, Network, NetworkConfig};
 use faultline_engine::{
-    BatchReport, ChurnMix, EngineConfig, EpochReport, QueryBatch, QueryEngine, SnapshotMaintenance,
+    BatchReport, ChurnMix, EngineConfig, InterleavedReport, QueryBatch, QueryEngine,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -22,79 +23,72 @@ fn incremental_network(n: u64, seed: u64) -> Network {
     Network::build(&config, &mut rng)
 }
 
-/// Everything about an epoch that must not depend on how the snapshot is maintained.
-#[allow(clippy::type_complexity)]
-fn digest(
-    epochs: &[EpochReport],
-) -> Vec<(Vec<(u64, u64, bool, u64, bool)>, usize, usize, usize, u64)> {
-    epochs
+/// An uncached interleaved run of uniform traffic that hands each epoch's network
+/// and batch to `reference` just before the engine routes that batch on its
+/// patched snapshot. Returns the run and, per epoch, `(engine, reference)`
+/// verdicts.
+fn run_against(
+    net: &mut Network,
+    epochs: usize,
+    queries: usize,
+    churn: ChurnMix,
+    mut reference: impl FnMut(&Network, &QueryBatch) -> Verdicts,
+) -> (InterleavedReport, Vec<(Verdicts, Verdicts)>) {
+    let mut engine = QueryEngine::new(EngineConfig::default().threads(2).cache_capacity(0));
+    let mut expected = Vec::new();
+    let report = engine.run_interleaved_with(net, epochs, queries, churn, 77, &mut |net, ctx| {
+        let batch = QueryBatch::uniform(net, ctx.queries, ctx.seed);
+        expected.push(reference(net, &batch));
+        batch
+    });
+    assert_eq!(engine.snapshots_built(), 1, "one freeze, then patches");
+    let pairs = report
+        .epochs()
         .iter()
-        .map(|e| {
-            (
-                e.batch
-                    .outcomes()
-                    .iter()
-                    .map(|o| (o.source, o.target, o.delivered, o.hops, o.cached))
-                    .collect(),
-                e.joins,
-                e.leaves,
-                e.flushed_routes,
-                e.alive_after,
-            )
-        })
-        .collect()
+        .map(|e| verdicts(&e.batch))
+        .zip(expected)
+        .collect();
+    (report, pairs)
+}
+
+/// Routes the batch through an engine that freezes the epoch's topology afresh
+/// (every epoch's churn moves the topology stamp, so `run_batch` refreezes).
+fn fresh_freeze(engine: &mut QueryEngine) -> impl FnMut(&Network, &QueryBatch) -> Verdicts + '_ {
+    move |net, batch| verdicts(&engine.run_batch(net, batch))
 }
 
 #[test]
-fn all_three_maintenance_modes_report_identical_epochs() {
+fn patched_epochs_match_a_fresh_freeze_every_epoch() {
     // Light churn relative to n, so most epochs take the genuine patch path rather
-    // than the heavy-blast rebuild fallback. Delta patching (the default),
-    // touched-list recompute patching and the rebuild-per-epoch baseline must be
-    // pure optimisations: identical epoch reports, different maintenance costs.
-    let run = |mode: SnapshotMaintenance| {
-        let mut net = incremental_network(1 << 10, 9);
-        let mut engine = QueryEngine::new(EngineConfig::default().threads(2).maintenance(mode));
-        let report = engine.run_interleaved(&mut net, 5, 1_500, ChurnMix::balanced(4), 77);
-        (digest(report.epochs()), report.epochs().to_vec())
-    };
-    let (delta_digest, delta_epochs) = run(SnapshotMaintenance::Delta);
-    let (touched_digest, touched_epochs) = run(SnapshotMaintenance::TouchedList);
-    let (rebuilt_digest, rebuilt_epochs) = run(SnapshotMaintenance::Rebuild);
-    assert_eq!(
-        delta_digest, touched_digest,
-        "delta patching changed an epoch report vs touched-list patching"
+    // than the heavy-blast rebuild fallback.
+    let mut net = incremental_network(1 << 10, 9);
+    let mut fresh = QueryEngine::new(EngineConfig::default().threads(2).cache_capacity(0));
+    let (report, pairs) = run_against(
+        &mut net,
+        5,
+        1_500,
+        ChurnMix::balanced(4),
+        fresh_freeze(&mut fresh),
     );
     assert_eq!(
-        delta_digest, rebuilt_digest,
-        "incremental patching changed an epoch report vs the rebuild baseline"
+        fresh.snapshots_built(),
+        5,
+        "the reference froze every epoch"
     );
-    // The maintenance shape differs exactly as documented: the incremental runs
-    // rebuild once and patch every epoch; the baseline rebuilds every epoch and
-    // never patches.
-    for epochs in [&delta_epochs, &touched_epochs] {
-        assert!(epochs[0].snapshot.rebuild_nanos > 0);
-        assert!(epochs.iter().skip(1).all(|e| e.snapshot.rebuild_nanos == 0));
-        assert!(epochs.iter().all(|e| e.snapshot.patch_nanos > 0));
-        assert!(epochs.iter().any(|e| e.snapshot.rows_patched > 0));
+    for (epoch, (patched, frozen)) in pairs.iter().enumerate() {
+        assert_eq!(
+            patched, frozen,
+            "epoch {epoch}: patching changed an outcome"
+        );
     }
-    assert!(rebuilt_epochs.iter().all(|e| e.snapshot.rebuild_nanos > 0));
-    assert!(rebuilt_epochs.iter().all(|e| e.snapshot.patch_nanos == 0));
-    // Both patching modes see the same rows change and write the same subset in
-    // place (they share the slot-reuse machinery).
-    let shape = |epochs: &[EpochReport]| {
-        epochs
-            .iter()
-            .map(|e| {
-                (
-                    e.snapshot.rows_patched,
-                    e.snapshot.rows_in_place,
-                    e.rows_changed,
-                )
-            })
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(shape(&delta_epochs), shape(&touched_epochs));
-    assert!(delta_epochs.iter().any(|e| e.snapshot.rows_in_place > 0));
+    // The maintenance shape: rebuild once, patch every epoch, and write the
+    // length-preserving rows in place.
+    let epochs = report.epochs();
+    assert!(epochs[0].snapshot.rebuild_nanos > 0);
+    assert!(epochs.iter().skip(1).all(|e| e.snapshot.rebuild_nanos == 0));
+    assert!(epochs.iter().all(|e| e.snapshot.patch_nanos > 0));
+    assert!(epochs.iter().any(|e| e.snapshot.rows_patched > 0));
+    assert!(epochs.iter().any(|e| e.snapshot.rows_in_place > 0));
 }
 
 /// A freshly compiled snapshot of `net` for `engine`: routing through it is the
@@ -136,20 +130,22 @@ fn heavy_churn_interleaves_still_match_while_degrading_gracefully() {
     // 60 events/epoch over 512 nodes: the structural share of each blast radius
     // (joins/leaves empty or fill whole rows) accumulates tombstones fast, so the
     // sustained run must fold back to a dense CSR (compaction) or abandon a patch for
-    // an in-place rebuild — and the trajectory must stay identical to the
-    // rebuild-per-epoch baseline regardless. Most touched rows are length-preserving
-    // (redirects, ring splices) and no longer tombstone at all, which is exactly why
-    // per-epoch compaction is no longer the expected steady state.
-    let run = |maintenance: SnapshotMaintenance| {
-        let mut net = incremental_network(512, 9);
-        let mut engine =
-            QueryEngine::new(EngineConfig::default().threads(2).maintenance(maintenance));
-        let report = engine.run_interleaved(&mut net, 10, 1_000, ChurnMix::balanced(60), 77);
-        (digest(report.epochs()), report.epochs().to_vec())
-    };
-    let (patched_digest, patched_epochs) = run(SnapshotMaintenance::Delta);
-    let (rebuilt_digest, _) = run(SnapshotMaintenance::Rebuild);
-    assert_eq!(patched_digest, rebuilt_digest);
+    // an in-place rebuild — and every epoch must still answer like a fresh freeze.
+    // Most changed rows are length-preserving (redirects, ring splices) and do not
+    // tombstone at all, which is why per-epoch compaction is not the steady state.
+    let mut net = incremental_network(512, 9);
+    let mut fresh = QueryEngine::new(EngineConfig::default().threads(2).cache_capacity(0));
+    let (report, pairs) = run_against(
+        &mut net,
+        10,
+        1_000,
+        ChurnMix::balanced(60),
+        fresh_freeze(&mut fresh),
+    );
+    for (epoch, (patched, frozen)) in pairs.iter().enumerate() {
+        assert_eq!(patched, frozen, "epoch {epoch}");
+    }
+    let patched_epochs = report.epochs();
     assert!(
         patched_epochs
             .iter()
@@ -239,33 +235,11 @@ fn warm_cache_batches_reuse_one_snapshot() {
 }
 
 #[test]
-fn live_graph_interleave_marks_every_epoch_skipped() {
-    let run = |frozen: bool| {
-        let mut net = incremental_network(512, 13);
-        let mut engine = QueryEngine::new(
-            EngineConfig::default()
-                .threads(2)
-                .cache_capacity(8192)
-                .frozen(frozen),
-        );
-        let report = engine.run_interleaved(&mut net, 5, 3_000, ChurnMix::balanced(2), 3);
-        (engine.snapshots_built(), report)
-    };
-    let (live_built, live) = run(false);
-    let (frozen_built, frozen) = run(true);
-    assert!(
-        live.epochs().iter().all(|e| e.snapshot.skipped),
-        "with the frozen path off no epoch has a snapshot"
-    );
-    assert!(frozen.epochs().iter().all(|e| !e.snapshot.skipped));
-    assert_eq!((live_built, frozen_built), (0, 1));
-    assert_eq!(
-        digest(live.epochs()),
-        digest(frozen.epochs()),
-        "routing the live graph must not change any epoch"
-    );
-    assert!(
-        live.overall_success_rate() > 0.9,
-        "skipping the snapshot must not hurt delivery"
-    );
+fn interleaved_epochs_answer_like_the_live_oracle() {
+    let mut net = incremental_network(512, 13);
+    let (report, pairs) = run_against(&mut net, 5, 3_000, ChurnMix::balanced(2), live_oracle);
+    for (epoch, (patched, oracle)) in pairs.iter().enumerate() {
+        assert_eq!(patched, oracle, "epoch {epoch}");
+    }
+    assert!(report.overall_success_rate() > 0.9);
 }

@@ -6,6 +6,9 @@
 //! engine, freezing for that one batch, would answer. It must also be real: the
 //! engine compiles one snapshot per distinct stamp it routes, and no more.
 
+mod common;
+
+use common::{live_oracle, verdicts};
 use faultline_core::{ConstructionMode, Network, NetworkConfig};
 use faultline_engine::{BatchReport, EngineConfig, Phase, QueryBatch, QueryEngine, QueryOutcome};
 use faultline_failure::{NodeFailure, RegionFailure};
@@ -94,13 +97,16 @@ fn switching_networks_refreezes_even_for_an_identical_topology() {
 }
 
 #[test]
-fn the_live_graph_engine_never_freezes() {
+fn a_reused_snapshot_answers_like_the_live_oracle() {
     let net = incremental_network(256, 9);
-    let mut engine = QueryEngine::new(config().cache_capacity(64).frozen(false));
+    let mut engine = QueryEngine::new(config());
     for k in 0..3 {
-        engine.run_batch(&net, &QueryBatch::uniform(&net, 300, k));
+        let batch = QueryBatch::uniform(&net, 300, k);
+        // `None` routes the engine's own snapshot, exactly like `run_batch`.
+        let report = engine.run_batch_with_snapshot(&net, &batch, None);
+        assert_eq!(verdicts(&report), live_oracle(&net, &batch), "batch {k}");
     }
-    assert_eq!(engine.snapshots_built(), 0);
+    assert_eq!(engine.snapshots_built(), 1);
 }
 
 proptest! {

@@ -1,10 +1,11 @@
-//! Two-dimensional lattices used by the Kleinberg small-world baseline.
+//! The two-dimensional lattice used by the Kleinberg small-world baseline.
 //!
 //! Kleinberg's construction (referenced throughout Section 2 and 4.3.1 of the paper)
 //! places nodes at every point of a two-dimensional grid and measures lattice (Manhattan)
-//! distance. The paper's own analysis is one-dimensional, but its baseline comparisons and
-//! Conjecture 11 ("we also believe that the bound continues to hold in higher dimensions")
-//! make a 2-D lattice a necessary substrate for the benchmark suite.
+//! distance; the baseline wraps it into a torus. The paper's own analysis is
+//! one-dimensional, but its baseline comparisons and Conjecture 11 ("we also believe that
+//! the bound continues to hold in higher dimensions") make a 2-D lattice a necessary
+//! substrate for the benchmark suite.
 
 use crate::{Distance, Position};
 
@@ -22,88 +23,6 @@ impl Point2 {
     #[must_use]
     pub fn new(x: u64, y: u64) -> Self {
         Self { x, y }
-    }
-}
-
-/// A non-wrapping `side x side` grid with Manhattan distance (Kleinberg's original model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-pub struct Grid2d {
-    side: u64,
-}
-
-impl Grid2d {
-    /// Creates a `side x side` grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `side == 0`.
-    #[must_use]
-    pub fn new(side: u64) -> Self {
-        assert!(side > 0, "a Grid2d must have a positive side length");
-        Self { side }
-    }
-
-    /// Side length of the grid.
-    #[must_use]
-    pub fn side(&self) -> u64 {
-        self.side
-    }
-
-    /// Total number of lattice points (`side^2`).
-    #[must_use]
-    pub fn len(&self) -> u64 {
-        self.side * self.side
-    }
-
-    /// Returns `true` if the grid contains no points (never, by construction).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Manhattan (lattice) distance between two points.
-    #[must_use]
-    pub fn distance(&self, a: Point2, b: Point2) -> Distance {
-        a.x.abs_diff(b.x) + a.y.abs_diff(b.y)
-    }
-
-    /// Largest realisable distance (between opposite corners).
-    #[must_use]
-    pub fn diameter(&self) -> Distance {
-        2 * (self.side - 1)
-    }
-
-    /// Converts a flat index `0..side^2` to a lattice point (row-major order).
-    #[must_use]
-    pub fn point_of_index(&self, index: Position) -> Point2 {
-        debug_assert!(index < self.len());
-        Point2::new(index % self.side, index / self.side)
-    }
-
-    /// Converts a lattice point back to its flat row-major index.
-    #[must_use]
-    pub fn index_of_point(&self, p: Point2) -> Position {
-        debug_assert!(p.x < self.side && p.y < self.side);
-        p.y * self.side + p.x
-    }
-
-    /// The (up to four) lattice neighbours of `p`.
-    #[must_use]
-    pub fn lattice_neighbors(&self, p: Point2) -> Vec<Point2> {
-        let mut out = Vec::with_capacity(4);
-        if p.x > 0 {
-            out.push(Point2::new(p.x - 1, p.y));
-        }
-        if p.x + 1 < self.side {
-            out.push(Point2::new(p.x + 1, p.y));
-        }
-        if p.y > 0 {
-            out.push(Point2::new(p.x, p.y - 1));
-        }
-        if p.y + 1 < self.side {
-            out.push(Point2::new(p.x, p.y + 1));
-        }
-        out
     }
 }
 
@@ -192,30 +111,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn grid_distance_is_manhattan() {
-        let g = Grid2d::new(8);
-        assert_eq!(g.distance(Point2::new(0, 0), Point2::new(7, 7)), 14);
-        assert_eq!(g.distance(Point2::new(3, 4), Point2::new(3, 4)), 0);
-        assert_eq!(g.distance(Point2::new(1, 2), Point2::new(4, 0)), 5);
-    }
-
-    #[test]
-    fn grid_index_roundtrips() {
-        let g = Grid2d::new(5);
-        for i in 0..g.len() {
-            assert_eq!(g.index_of_point(g.point_of_index(i)), i);
-        }
-    }
-
-    #[test]
-    fn grid_corner_has_two_neighbors() {
-        let g = Grid2d::new(4);
-        assert_eq!(g.lattice_neighbors(Point2::new(0, 0)).len(), 2);
-        assert_eq!(g.lattice_neighbors(Point2::new(2, 2)).len(), 4);
-        assert_eq!(g.lattice_neighbors(Point2::new(0, 2)).len(), 3);
-    }
-
-    #[test]
     fn torus_distance_wraps_both_axes() {
         let t = Torus2d::new(10);
         assert_eq!(t.distance(Point2::new(0, 0), Point2::new(9, 9)), 2);
@@ -231,12 +126,15 @@ mod tests {
     }
 
     #[test]
-    fn diameters_are_attained() {
-        let g = Grid2d::new(6);
-        assert_eq!(
-            g.diameter(),
-            g.distance(Point2::new(0, 0), Point2::new(5, 5))
-        );
+    fn torus_index_roundtrips() {
+        let t = Torus2d::new(5);
+        for i in 0..t.len() {
+            assert_eq!(t.index_of_point(t.point_of_index(i)), i);
+        }
+    }
+
+    #[test]
+    fn diameter_is_attained() {
         let t = Torus2d::new(6);
         assert_eq!(
             t.diameter(),

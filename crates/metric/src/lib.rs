@@ -11,8 +11,7 @@
 //!   Section 4 of the paper).
 //! * [`RingSpace`] — grid points on a circle (the Chord-style identifier circle from
 //!   Section 3).
-//! * [`Torus2d`] / [`Grid2d`] — two-dimensional lattices used by the Kleinberg small-world
-//!   baseline.
+//! * [`Torus2d`] — the two-dimensional lattice used by the Kleinberg small-world baseline.
 //! * [`Key`], [`KeySpace`] — stable hashing of resource keys onto metric-space points
 //!   (the `h : K -> V` mapping of Section 2).
 //!
@@ -42,7 +41,7 @@ mod ring;
 mod space;
 
 pub use geometry::Geometry;
-pub use grid::{Grid2d, Point2, Torus2d};
+pub use grid::{Point2, Torus2d};
 pub use key::splitmix64;
 pub use key::{Key, KeySpace};
 pub use line::LineSpace;

@@ -22,10 +22,9 @@
 //! A snapshot is plain owned data (`Send + Sync`), shared freely across worker threads.
 //! Between full rebuilds it can be **incrementally patched**: churn only touches O(ℓ)
 //! adjacency rows per event, so instead of recompiling the world the snapshot rewrites
-//! exactly those rows — preferably straight from a typed [`ChurnDelta`] of
-//! maintainer-captured row diffs ([`FrozenRoutes::apply_delta`], no recompute at all),
-//! or by re-deriving a flat touched-node list from the graph
-//! ([`FrozenRoutes::apply_churn`]). Rows whose new content fits the existing slot
+//! exactly those rows, straight from a typed [`ChurnDelta`] of maintainer-captured
+//! row diffs ([`FrozenRoutes::apply_delta`], no recompute at all). Rows whose new
+//! content fits the existing slot
 //! (link redirects keep their length) are overwritten **in place**; only structural,
 //! length-changing rows go to the overflow region with their dense slot tombstoned,
 //! and a periodic [`FrozenRoutes::compact`] folds the overflow back into a dense CSR
@@ -75,7 +74,7 @@ fn saturate_u32(value: usize) -> u32 {
 /// genuinely structural blast radius still degrades gracefully to a rebuild.
 const TOMBSTONE_DENOM: usize = 4;
 
-/// What one [`FrozenRoutes::apply_churn`] / [`FrozenRoutes::apply_delta`] call did.
+/// What one [`FrozenRoutes::apply_delta`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PatchStats {
     /// Adjacency rows whose content changed and were rewritten (in place or into the
@@ -85,7 +84,7 @@ pub struct PatchStats {
     /// row reusing its overflow record) — no tombstone, no overflow growth. Subset of
     /// [`PatchStats::rows_patched`].
     pub rows_in_place: usize,
-    /// Touched rows whose usable-neighbour set turned out unchanged (no write needed).
+    /// Diffed rows whose stored content already matched (no write needed).
     pub rows_unchanged: usize,
     /// Nodes whose alive bit flipped.
     pub alive_flips: usize,
@@ -195,88 +194,6 @@ impl FrozenRoutes {
         }
     }
 
-    /// Patches the snapshot in place so it matches the graph's *current* topology at
-    /// every node in `touched`, without recompiling untouched rows.
-    ///
-    /// `touched` must cover every node whose usable-neighbour row or alive state
-    /// changed since the snapshot was built (or last patched). The Section 5
-    /// maintainer's join/leave reports list exactly this blast radius
-    /// (`touched_nodes`), so feeding the union of an epoch's reports keeps the
-    /// snapshot logically identical to a from-scratch `freeze()` of the mutated
-    /// graph. Mutations that change liveness without touching link tables
-    /// (`fail_node` sweeps and friends) invalidate in-neighbour rows this method is
-    /// never told about — rebuild instead.
-    ///
-    /// Changed rows are written in place when the new row fits the existing slot
-    /// (same-length dense overwrite, or a shrinking row reusing its overflow record);
-    /// only **structural** rows — those whose length grew past their slot — are
-    /// appended to the overflow region with their dense slots tombstoned. Once
-    /// tombstones exceed `1/4` of all rows (or the overflow region outgrows half the
-    /// dense adjacency), the snapshot is automatically
-    /// [compacted](FrozenRoutes::compact) back to a dense CSR. A call whose
-    /// structural blast radius alone crosses that threshold abandons the
-    /// patch-then-compact detour mid-way and recompiles the dense arrays directly
-    /// (reusing the existing buffers) — incremental maintenance degrades gracefully
-    /// to rebuild cost under extreme churn instead of paying for both. Liveness-only
-    /// and link-replaced touches never count against the fallback.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `graph` has a different geometry than the snapshot was frozen from,
-    /// if a touched node is outside the space, or if the overflow region exceeds the
-    /// `u32` CSR range.
-    pub fn apply_churn(&mut self, graph: &OverlayGraph, touched: &[NodeId]) -> PatchStats {
-        self.apply_churn_with(graph, touched, &Telemetry::disabled())
-    }
-
-    /// [`FrozenRoutes::apply_churn`] with telemetry: the call is timed under
-    /// [`Phase::ApplyChurn`] (any triggered compaction under [`Phase::Compact`]),
-    /// and a rebuild fallback or compaction lands on the event ring.
-    pub fn apply_churn_with(
-        &mut self,
-        graph: &OverlayGraph,
-        touched: &[NodeId],
-        telemetry: &Telemetry,
-    ) -> PatchStats {
-        let _span = telemetry.span(Phase::ApplyChurn);
-        self.check_graph(graph);
-        let mut stats = PatchStats::default();
-        // Maintainer blast radii overlap heavily (ring neighbours, repeated repair
-        // sources); deduplicate so each row is recomputed once per call.
-        let mut unique = touched.to_vec();
-        unique.sort_unstable();
-        unique.dedup();
-        if let Some(&max) = unique.last() {
-            assert!(max < self.n, "touched node {max} outside the frozen space");
-        }
-        let mut alive_dirty = false;
-        let mut new_tombstones = 0usize;
-        let mut row = Vec::new();
-        for &p in &unique {
-            let i = p as usize;
-
-            let now_alive = graph.is_alive(p);
-            if now_alive != self.is_alive(p) {
-                self.alive_words[i / 64] ^= 1u64 << (i % 64);
-                stats.alive_flips += 1;
-                alive_dirty = true;
-            }
-
-            row.clear();
-            row.extend(graph.usable_neighbors(p).map(|q| q as u32));
-            if self.patch_one(p, &row, &mut stats, &mut new_tombstones) {
-                self.rebuild_from(graph);
-                telemetry.event(EventKind::RebuildFallback, saturate_u32(unique.len()));
-                stats.rebuilt = true;
-                stats.compacted = true;
-                return stats;
-            }
-        }
-
-        self.finish_patch(alive_dirty, &mut stats, telemetry);
-        stats
-    }
-
     /// Patches the snapshot in place from a typed [`ChurnDelta`], writing each diffed
     /// row directly — **no usable-neighbour recompute**: the maintainer already
     /// captured every changed row, so this is a straight memcmp-and-write per row
@@ -290,9 +207,18 @@ impl FrozenRoutes {
     /// rebuild fallback (and, in debug builds, to assert every diffed row matches
     /// the live topology).
     ///
-    /// Slot reuse, tombstoning, the structural-only rebuild fallback and the
-    /// compaction policy are shared with [`FrozenRoutes::apply_churn`]; only the row
-    /// source differs.
+    /// Changed rows are written in place when the new row fits the existing slot
+    /// (same-length dense overwrite, or a shrinking row reusing its overflow record);
+    /// only **structural** rows — those whose length grew past their slot — are
+    /// appended to the overflow region with their dense slots tombstoned. Once
+    /// tombstones exceed `1/4` of all rows (or the overflow region outgrows half the
+    /// dense adjacency), the snapshot is automatically
+    /// [compacted](FrozenRoutes::compact) back to a dense CSR. A call whose
+    /// structural blast radius alone crosses that threshold abandons the
+    /// patch-then-compact detour mid-way and recompiles the dense arrays directly
+    /// (reusing the existing buffers) — incremental maintenance degrades gracefully
+    /// to rebuild cost under extreme churn instead of paying for both. Liveness-only
+    /// and link-replaced rows never count against the fallback.
     ///
     /// # Panics
     ///
@@ -705,6 +631,7 @@ impl OverlayGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::RowChangeKind;
     use crate::link::LinkKind;
     use faultline_metric::{Geometry, MetricSpace};
 
@@ -791,8 +718,18 @@ mod tests {
         }
     }
 
-    /// Simulates a maintainer-style mutation with an exact blast radius: every node
-    /// whose link table or liveness changes is returned for `apply_churn`.
+    /// The delta a maintainer would capture for a mutation whose blast radius is
+    /// `changed`: each listed node's current usable row and liveness, read back
+    /// from the mutated graph (duplicates merge, as in [`ChurnDelta::record`]).
+    fn delta_of(g: &OverlayGraph, changed: &[NodeId]) -> ChurnDelta {
+        let mut delta = ChurnDelta::new();
+        for &p in changed {
+            let row = g.usable_neighbors(p).map(|q| q as u32).collect();
+            delta.record(p, RowChangeKind::Structural, g.is_alive(p), row);
+        }
+        delta
+    }
+
     fn patched_equals_fresh(g: &OverlayGraph, patched: &FrozenRoutes) {
         let fresh = g.freeze();
         for p in 0..g.len() {
@@ -820,7 +757,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_churn_patches_exactly_the_touched_rows() {
+    fn apply_delta_patches_exactly_the_diffed_rows() {
         let mut g = chain_graph(64);
         g.add_link(0, 40, LinkKind::Long);
         let mut frozen = g.freeze();
@@ -828,7 +765,7 @@ mod tests {
         g.remove_node(5);
         g.remove_link(4, 5, LinkKind::Ring);
         g.remove_link(6, 5, LinkKind::Ring);
-        let stats = frozen.apply_churn(&g, &[4, 5, 6]);
+        let stats = frozen.apply_delta(&g, &delta_of(&g, &[4, 5, 6]));
         assert_eq!(stats.rows_patched, 3, "rows 4/5/6 all changed: {stats:?}");
         assert_eq!(stats.alive_flips, 1, "only node 5's liveness flipped");
         assert!(!stats.rebuilt && !stats.compacted);
@@ -842,21 +779,21 @@ mod tests {
     }
 
     #[test]
-    fn apply_churn_is_idempotent_and_skips_unchanged_rows() {
+    fn apply_delta_is_idempotent_and_skips_unchanged_rows() {
         let mut g = chain_graph(64);
         let mut frozen = g.freeze();
         g.fail_link(1, 0);
-        let first = frozen.apply_churn(&g, &[1, 2]);
+        let first = frozen.apply_delta(&g, &delta_of(&g, &[1, 2]));
         assert_eq!(first.rows_patched, 1);
         assert_eq!(first.rows_unchanged, 1, "node 2's row did not change");
-        let second = frozen.apply_churn(&g, &[1, 2]);
+        let second = frozen.apply_delta(&g, &delta_of(&g, &[1, 2]));
         assert_eq!(
             second.rows_patched, 0,
             "repatching an unchanged graph is a no-op"
         );
         assert_eq!(second.rows_unchanged, 2);
-        // Duplicates in the blast radius collapse to one row recompute.
-        let third = frozen.apply_churn(&g, &[1, 1, 1, 2]);
+        // Duplicates in the blast radius merge into one row diff each.
+        let third = frozen.apply_delta(&g, &delta_of(&g, &[1, 1, 1, 2]));
         assert_eq!(third.rows_unchanged, 2);
         patched_equals_fresh(&g, &frozen);
     }
@@ -875,7 +812,7 @@ mod tests {
             g.add_link(p, p + 16, LinkKind::Long);
             g.add_link(p, p + 18, LinkKind::Long);
         }
-        let stats = frozen.apply_churn(&g, &touched);
+        let stats = frozen.apply_delta(&g, &delta_of(&g, &touched));
         assert!(stats.rebuilt, "12 of 32 rows must cross the 1/4 threshold");
         assert!(stats.compacted);
         assert_eq!(frozen.patched_rows(), 0);
@@ -887,8 +824,7 @@ mod tests {
     fn liveness_only_and_link_replaced_touches_never_trip_the_rebuild_fallback() {
         // A ring where every row keeps its length: rewiring half the space is pure
         // in-place overwrites, so no tombstones accumulate and no rebuild (or
-        // compaction) ever triggers — the compaction-threshold cliff the flat touched
-        // list used to hit.
+        // compaction) ever triggers.
         let n = 32u64;
         let mut g = OverlayGraph::fully_populated(Geometry::ring(n));
         for p in 0..n {
@@ -900,7 +836,7 @@ mod tests {
         for &p in &touched {
             g.redirect_long_link(p, (p + 1) % n, (p + 2) % n);
         }
-        let stats = frozen.apply_churn(&g, &touched);
+        let stats = frozen.apply_delta(&g, &delta_of(&g, &touched));
         assert_eq!(stats.rows_patched, touched.len());
         assert_eq!(
             stats.rows_in_place,
@@ -923,8 +859,8 @@ mod tests {
         g.revive_node(9);
         g.fail_link(2, 1);
         // Reviving 9 changes the rows of its in-neighbours too (8, 10 via ring links,
-        // 0 via its long link): the touched set must cover the full blast radius.
-        frozen.apply_churn(&g, &[9, 2, 8, 10, 0]);
+        // 0 via its long link): the delta must cover the full blast radius.
+        frozen.apply_delta(&g, &delta_of(&g, &[9, 2, 8, 10, 0]));
         frozen.compact();
         assert_eq!(frozen.patched_rows(), 0);
         assert_eq!(frozen.overflow_len(), 0);
@@ -952,7 +888,7 @@ mod tests {
             g.add_link(p, (p + 10) % 64, LinkKind::Long);
             g.add_link(p, (p + 20) % 64, LinkKind::Long);
             g.add_link(p, (p + 30) % 64, LinkKind::Long);
-            let stats = frozen.apply_churn(&g, &[p]);
+            let stats = frozen.apply_delta(&g, &delta_of(&g, &[p]));
             if stats.compacted {
                 compactions += 1;
                 assert_eq!(frozen.patched_rows(), 0);
@@ -969,11 +905,11 @@ mod tests {
     fn telemetry_variants_record_phases_and_events_without_changing_results() {
         let tel = Telemetry::new(1);
 
-        // A light patch: timed under ApplyChurn, no events.
+        // A light patch: timed under ApplyDelta, no events.
         let mut g = chain_graph(64);
         let mut frozen = g.freeze();
         g.fail_link(1, 0);
-        let stats = frozen.apply_churn_with(&g, &[1, 2], &tel);
+        let stats = frozen.apply_delta_with(&g, &delta_of(&g, &[1, 2]), &tel);
         assert_eq!(stats.rows_patched, 1);
         patched_equals_fresh(&g, &frozen);
 
@@ -987,7 +923,7 @@ mod tests {
             g2.add_link(p, p + 18, LinkKind::Long);
         }
         let touched: Vec<NodeId> = (0..12).collect();
-        let stats2 = frozen2.apply_churn_with(&g2, &touched, &tel);
+        let stats2 = frozen2.apply_delta_with(&g2, &delta_of(&g2, &touched), &tel);
         assert!(stats2.rebuilt);
         assert_eq!(frozen2, g2.freeze());
 
@@ -998,14 +934,14 @@ mod tests {
         g3.remove_node(5);
         g3.remove_link(4, 5, LinkKind::Ring);
         g3.remove_link(6, 5, LinkKind::Ring);
-        frozen3.apply_churn_with(&g3, &[4, 5, 6], &tel);
+        frozen3.apply_delta_with(&g3, &delta_of(&g3, &[4, 5, 6]), &tel);
         let tombstoned = frozen3.patched_rows() as u32;
         assert!(tombstoned > 0);
         frozen3.compact_with(&tel);
         assert_eq!(frozen3, g3.freeze());
 
         let snap = tel.snapshot();
-        assert_eq!(snap.phase(Phase::ApplyChurn).count(), 3);
+        assert_eq!(snap.phase(Phase::ApplyDelta).count(), 3);
         assert_eq!(snap.phase(Phase::Compact).count(), 1);
         assert_eq!(snap.event_count(EventKind::RebuildFallback), 1);
         assert_eq!(snap.event_count(EventKind::Compaction), 1);
@@ -1023,11 +959,11 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "sizes differ")]
-    fn apply_churn_rejects_a_mismatched_graph() {
+    fn apply_delta_rejects_a_mismatched_graph() {
         let g16 = damaged_graph();
         let g8 = OverlayGraph::fully_populated(Geometry::line(8));
         let mut frozen = g16.freeze();
-        let _ = frozen.apply_churn(&g8, &[0]);
+        let _ = frozen.apply_delta(&g8, &delta_of(&g8, &[0]));
     }
 
     #[test]
@@ -1068,7 +1004,7 @@ mod tests {
         let mut g2 = chain_graph(64);
         let mut frozen2 = g2.freeze();
         g2.fail_link(4, 5);
-        let stats = frozen2.apply_churn(&g2, &[4]);
+        let stats = frozen2.apply_delta(&g2, &delta_of(&g2, &[4]));
         assert_eq!(stats.rows_in_place, 1, "shrink-within-pad lands in place");
         assert_eq!(frozen2.patched_rows(), 0);
         assert_eq!(frozen2.neighbors(4), &[3]);

@@ -13,10 +13,9 @@
 //! * [`FrozenRoutes`] — a compiled CSR routing snapshot (usable-neighbour adjacency,
 //!   alive bitset, inlined distance); the traversal structure the query engine's
 //!   uncached hot path runs on. Snapshots are built once per routing epoch and then
-//!   *patched* through churn: preferably from a typed [`ChurnDelta`] of row-level
-//!   diffs ([`FrozenRoutes::apply_delta`] writes diffed rows directly, reusing slots
-//!   in place when the new row fits), or by recomputing a flat touched-node list
-//!   ([`FrozenRoutes::apply_churn`]); length-changing rows go to an overflow region,
+//!   *patched* through churn from a typed [`ChurnDelta`] of row-level diffs
+//!   ([`FrozenRoutes::apply_delta`] writes diffed rows directly, reusing slots in
+//!   place when the new row fits); length-changing rows go to an overflow region,
 //!   and tombstoned dense slots are periodically compacted away.
 //! * [`ChurnDelta`] — the typed churn diff itself: per-node `old row → new row`
 //!   changes classified as liveness-only / link-replaced / structural, plus the

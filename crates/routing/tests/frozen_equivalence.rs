@@ -173,8 +173,8 @@ proptest! {
     }
 
     /// Lane padding round-trips through the whole patch pipeline: freeze, then
-    /// `apply_churn` (recompute from the graph), then `apply_delta` (typed row
-    /// diffs), then `compact` — after every step each row keeps the padding
+    /// `apply_delta` with rows read back from the graph, then `apply_delta` with
+    /// rows from a fresh freeze, then `compact` — after every step each row keeps the padding
     /// contract, the delta-patched snapshot matches a from-scratch freeze row for
     /// row, and the SIMD kernel stays bit-identical to the scalar fold on every
     /// row shape the pipeline produces (padded dense slots, unpadded overflow
@@ -193,11 +193,16 @@ proptest! {
         let mut snapshot = graph.freeze();
         check_row_shapes(&snapshot)?;
 
-        // Epoch 1: churn recomputed from the graph via the touched-node list (a
-        // superset list is allowed — untouched rows are detected and skipped).
+        // Epoch 1: churn patched in as a delta over every node, rows read back
+        // from the graph (a superset delta is allowed — unchanged rows are
+        // detected and skipped).
         churn(&mut graph, seed, node_failure, link_failure);
-        let everyone: Vec<u64> = (0..n).collect();
-        snapshot.apply_churn(&graph, &everyone);
+        let mut everyone = ChurnDelta::new();
+        for p in 0..n {
+            let row = graph.usable_neighbors(p).map(|q| q as u32).collect();
+            everyone.record(p, RowChangeKind::Structural, graph.is_alive(p), row);
+        }
+        snapshot.apply_delta(&graph, &everyone);
         check_row_shapes(&snapshot)?;
         check_kernel_parity(&snapshot, seed)?;
 

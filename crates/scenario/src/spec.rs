@@ -32,8 +32,7 @@
 //! | | `adversarial_joins` | float | `0.0` |
 //! | `[engine]` | `threads`, `shards`, `cache_capacity` | integer | engine defaults |
 //! | | `max_hops` | integer | engine default |
-//! | | `frozen`, `row_invalidation`, `telemetry` | boolean | engine defaults |
-//! | | `maintenance` | `"delta"` / `"touched-list"` / `"rebuild"` | `"delta"` |
+//! | | `telemetry` | boolean | engine default |
 //! | `[byzantine]` | `fraction` | float | *(required in section)* |
 //! | | `seed` | integer | scenario seed `^ 0xB52A` |
 //! | | `redundancy` | integer | engine default |
@@ -51,7 +50,7 @@ use crate::toml::{self, Document, Entry, Section, Value};
 use faultline_core::{ConstructionMode, Network, NetworkConfig};
 use faultline_engine::{
     ByzantineConfig, ChurnMix, EngineConfig, FailureEvent, FailureSchedule, InterleavedReport,
-    QueryEngine, SnapshotMaintenance,
+    QueryEngine,
 };
 use faultline_routing::FaultStrategy;
 use rand::rngs::StdRng;
@@ -128,12 +127,6 @@ pub struct EngineSpec {
     pub cache_capacity: Option<usize>,
     /// Hop budget override.
     pub max_hops: Option<u64>,
-    /// Route via the compiled frozen snapshot (`false` = live-graph baseline).
-    pub frozen: Option<bool>,
-    /// Snapshot maintenance mode across epochs.
-    pub maintenance: Option<SnapshotMaintenance>,
-    /// Row-level cache invalidation (`false` = bucket-mask flush baseline).
-    pub row_invalidation: Option<bool>,
     /// Telemetry recording.
     pub telemetry: Option<bool>,
 }
@@ -293,15 +286,6 @@ impl ScenarioSpec {
         if let Some(max_hops) = self.engine.max_hops {
             config = config.max_hops(max_hops);
         }
-        if let Some(frozen) = self.engine.frozen {
-            config = config.frozen(frozen);
-        }
-        if let Some(maintenance) = self.engine.maintenance {
-            config = config.maintenance(maintenance);
-        }
-        if let Some(enabled) = self.engine.row_invalidation {
-            config = config.row_invalidation(enabled);
-        }
         if let Some(enabled) = self.engine.telemetry {
             config = config.telemetry(enabled);
         }
@@ -438,20 +422,6 @@ impl ScenarioSpec {
             }
             if let Some(max_hops) = self.engine.max_hops {
                 let _ = writeln!(out, "max_hops = {max_hops}");
-            }
-            if let Some(frozen) = self.engine.frozen {
-                let _ = writeln!(out, "frozen = {frozen}");
-            }
-            if let Some(maintenance) = self.engine.maintenance {
-                let label = match maintenance {
-                    SnapshotMaintenance::Delta => "delta",
-                    SnapshotMaintenance::TouchedList => "touched-list",
-                    SnapshotMaintenance::Rebuild => "rebuild",
-                };
-                let _ = writeln!(out, "maintenance = \"{label}\"");
-            }
-            if let Some(enabled) = self.engine.row_invalidation {
-                let _ = writeln!(out, "row_invalidation = {enabled}");
             }
             if let Some(enabled) = self.engine.telemetry {
                 let _ = writeln!(out, "telemetry = {enabled}");
@@ -970,13 +940,10 @@ fn parse_engine(document: &Document) -> Result<EngineSpec, ScenarioError> {
             "shards",
             "cache_capacity",
             "max_hops",
-            "frozen",
-            "maintenance",
-            "row_invalidation",
             "telemetry",
         ],
     )?;
-    let spec = EngineSpec {
+    Ok(EngineSpec {
         threads: section.get("threads").map(expect_usize).transpose()?,
         shards: section.get("shards").map(expect_usize).transpose()?,
         cache_capacity: section
@@ -984,39 +951,8 @@ fn parse_engine(document: &Document) -> Result<EngineSpec, ScenarioError> {
             .map(expect_usize)
             .transpose()?,
         max_hops: section.get("max_hops").map(expect_u64).transpose()?,
-        frozen: section.get("frozen").map(expect_bool).transpose()?,
-        maintenance: section
-            .get("maintenance")
-            .map(|entry| match expect_str(entry)? {
-                "delta" => Ok(SnapshotMaintenance::Delta),
-                "touched-list" => Ok(SnapshotMaintenance::TouchedList),
-                "rebuild" => Ok(SnapshotMaintenance::Rebuild),
-                _ => Err(invalid(
-                    entry,
-                    "must be \"delta\", \"touched-list\", or \"rebuild\"",
-                )),
-            })
-            .transpose()?,
-        row_invalidation: section
-            .get("row_invalidation")
-            .map(expect_bool)
-            .transpose()?,
         telemetry: section.get("telemetry").map(expect_bool).transpose()?,
-    };
-    // The one cross-key contradiction the DSL refuses even though the engine
-    // accepts it: no cache *and* no frozen kernel is the bench's internal
-    // exact-measurement baseline, not a scenario anyone means to describe —
-    // every miss walks the live graph and the run measures nothing the paper
-    // talks about.
-    if spec.cache_capacity == Some(0) && spec.frozen == Some(false) {
-        let entry = section.get("frozen").expect("frozen key present when Some");
-        return Err(invalid(
-            entry,
-            "cache_capacity = 0 with frozen = false disables both routing accelerators; \
-             drop one of the two overrides",
-        ));
-    }
-    Ok(spec)
+    })
 }
 
 fn parse_byzantine(

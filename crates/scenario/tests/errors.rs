@@ -72,19 +72,42 @@ fn fire_unknown_key() {
     );
 }
 
-#[test]
-fn fire_retired_freeze_key() {
-    // The engine freezes once per topology, so the freeze-policy key is gone;
-    // an old file naming it is told so at the key's line, not silently accepted.
-    let source = format!("{BASE}[engine]\nthreads = 2\nfreeze = \"auto\"\n");
+/// Asserts that an `[engine]` section whose second key sets `setting` is refused
+/// with `UnknownKey` for `key` at that line: a retired key is reported, never
+/// silently accepted.
+fn assert_retired_engine_key(setting: &str, key: &str) {
     assert_eq!(
-        ScenarioSpec::parse(&source),
+        ScenarioSpec::parse(&format!("{BASE}[engine]\nthreads = 2\n{setting}\n")),
         Err(ScenarioError::UnknownKey {
             line: 10,
             section: "engine".into(),
-            key: "freeze".into(),
+            key: key.into(),
         })
     );
+}
+
+#[test]
+fn fire_retired_freeze_key() {
+    // The engine freezes once per topology; there is no freeze policy to set.
+    assert_retired_engine_key("freeze = \"auto\"", "freeze");
+}
+
+#[test]
+fn fire_retired_frozen_key() {
+    // Every lookup routes a frozen snapshot; there is no live-graph path to select.
+    assert_retired_engine_key("frozen = false", "frozen");
+}
+
+#[test]
+fn fire_retired_maintenance_key() {
+    // Snapshots are always patched from the typed churn delta.
+    assert_retired_engine_key("maintenance = \"touched-list\"", "maintenance");
+}
+
+#[test]
+fn fire_retired_row_invalidation_key() {
+    // Cache invalidation is always row-level.
+    assert_retired_engine_key("row_invalidation = false", "row_invalidation");
 }
 
 #[test]
@@ -169,17 +192,6 @@ fn fire_invalid_value() {
             key: "fraction".into(),
             message: "must lie in [0, 1]".into(),
         })
-    );
-    // The DSL-level contradiction the engine itself tolerates (it is the
-    // bench's exact-measurement baseline): no cache *and* no frozen kernel.
-    let no_accelerators = format!("{BASE}[engine]\ncache_capacity = 0\nfrozen = false\n");
-    let err = ScenarioSpec::parse(&no_accelerators).expect_err("must be rejected");
-    assert!(
-        matches!(
-            &err,
-            ScenarioError::InvalidValue { line: 10, key, .. } if key == "frozen"
-        ),
-        "got {err:?}"
     );
     // Contradictory churn volume.
     let both_volumes = format!("{BASE}[churn]\nfraction = 0.1\nevents_per_epoch = 5\n");

@@ -4,7 +4,7 @@
 //! round-trip is what makes scenario files diffable artifacts rather than
 //! write-only input.
 
-use faultline_engine::{FailureEvent, SnapshotMaintenance};
+use faultline_engine::FailureEvent;
 use faultline_routing::FaultStrategy;
 use faultline_scenario::{
     ByzantineSpec, ChurnSpec, ChurnVolume, EngineSpec, FailureSpec, QuerySkew, ScenarioSpec,
@@ -67,9 +67,6 @@ fn kitchen_sink_spec_round_trips() {
         "shards = 16\n",
         "cache_capacity = 4096\n",
         "max_hops = 200\n",
-        "frozen = true\n",
-        "maintenance = \"touched-list\"\n",
-        "row_invalidation = true\n",
         "telemetry = false\n",
         "[byzantine]\n",
         "fraction = 0.15\n",
@@ -99,8 +96,14 @@ fn kitchen_sink_spec_round_trips() {
         })
     );
     assert_eq!(
-        spec.engine.maintenance,
-        Some(SnapshotMaintenance::TouchedList)
+        spec.engine,
+        EngineSpec {
+            threads: Some(4),
+            shards: Some(16),
+            cache_capacity: Some(4096),
+            max_hops: Some(200),
+            telemetry: Some(false),
+        }
     );
     assert_eq!(
         spec.byzantine,

@@ -5,17 +5,12 @@
 //! average. This crate provides the machinery that makes those experiments reproducible
 //! and fast:
 //!
-//! * [`EventQueue`] / [`Scheduler`] — a small discrete-event core (virtual time, stable
-//!   FIFO tie-breaking) used by the message-latency simulation and available to downstream
-//!   experiments that need explicit time.
 //! * [`seed_for_trial`] and [`trial_rng`] — deterministic per-trial RNG derivation so that
 //!   trial `i` of an experiment is identical no matter how many threads run it.
 //! * [`ExperimentRunner`] — a thread-parallel multi-trial runner with ordered, reproducible
 //!   result collection.
 //! * [`Summary`] / [`Accumulator`] — summary statistics (mean, standard deviation,
 //!   quantiles, standard error) for hop counts and failure fractions.
-//! * [`LatencyModel`] and [`simulate_message_timing`] — per-hop latency assignment that
-//!   turns a hop-by-hop path into a virtual-time delivery trace using the event queue.
 //!
 //! The substrate is deliberately independent of the overlay types: it runs closures. That
 //! keeps it reusable for the baseline overlays (Chord, Kleinberg grid) as well.
@@ -24,19 +19,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod des;
-mod latency;
 mod rng;
 mod runner;
 mod stats;
 mod workload;
 
-pub use des::{Event, EventQueue, Scheduler};
-pub use latency::{simulate_message_timing, HopTiming, LatencyModel, MessageTiming};
 pub use rng::{seed_for_trial, trial_rng};
 pub use runner::{ExperimentRunner, TrialOutput};
 pub use stats::{Accumulator, Summary};
 pub use workload::Workload;
-
-/// Virtual time, in abstract ticks (the unit is whatever the latency model assigns).
-pub type SimTime = u64;
