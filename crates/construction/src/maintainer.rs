@@ -46,14 +46,13 @@ pub struct JoinReport {
     /// How many of those requests resulted in a link being redirected (or newly created)
     /// towards the new node.
     pub incoming_granted: u64,
-    /// Every node whose link table this join mutated: the newcomer itself, the ring
-    /// neighbours spliced around it, and each earlier node that redirected a link to it.
-    /// Route caches key invalidation off this set.
-    pub touched_nodes: Vec<NodeId>,
-    /// Typed row-level diffs of the same blast radius: per touched node, its new
+    /// Typed row-level diffs of the join's blast radius — every node whose link table
+    /// it mutated: the newcomer itself, the ring neighbours spliced around it, and
+    /// each earlier node that redirected a link to it. Per node: its new
     /// usable-neighbour row, liveness, and a change classification, plus the join
-    /// event itself. Empty when delta capture is disabled
-    /// ([`NetworkMaintainer::delta_capture`]) — `touched_nodes` is always filled.
+    /// event itself. Route caches key invalidation off
+    /// [`ChurnDelta::changed_nodes`]. Empty when delta capture is disabled
+    /// ([`NetworkMaintainer::delta_capture`]).
     pub delta: ChurnDelta,
 }
 
@@ -66,13 +65,11 @@ pub struct LeaveReport {
     pub repaired_links: usize,
     /// Number of dangling long-distance links that were dropped (no valid target).
     pub dropped_links: usize,
-    /// Every node whose link table this departure mutated: the departed position, the
-    /// ring neighbours re-closed around the hole, and each source whose dangling long
-    /// link was repaired or dropped. Route caches key invalidation off this set.
-    pub touched_nodes: Vec<NodeId>,
-    /// Typed row-level diffs of the same blast radius (see [`JoinReport::delta`]):
-    /// repaired sources are link-replaced rows, everything else is structural. Empty
-    /// when delta capture is disabled.
+    /// Typed row-level diffs of the departure's blast radius (see
+    /// [`JoinReport::delta`]): the departed position, the ring neighbours re-closed
+    /// around the hole, and each source whose dangling long link was repaired or
+    /// dropped. Repaired sources are link-replaced rows, everything else is
+    /// structural. Empty when delta capture is disabled.
     pub delta: ChurnDelta,
 }
 
@@ -121,7 +118,7 @@ impl NetworkMaintainer {
     /// new usable-neighbour row; bulk construction replaying thousands of arrivals
     /// through the maintainer ([`crate::IncrementalBuilder`]) disables it, because
     /// nobody consumes deltas mid-build. With capture off, reports carry an empty
-    /// [`ChurnDelta`]; `touched_nodes` is always populated either way.
+    /// [`ChurnDelta`].
     #[must_use]
     pub fn delta_capture(mut self, capture: bool) -> Self {
         self.capture_deltas = capture;
@@ -226,9 +223,6 @@ impl NetworkMaintainer {
                 kinds.push((source, kind));
             }
         }
-        let mut touched_nodes: Vec<NodeId> = kinds.iter().map(|&(p, _)| p).collect();
-        touched_nodes.sort_unstable();
-        touched_nodes.dedup();
         let mut delta = self.capture_delta(&kinds);
         if self.capture_deltas {
             delta.push_join(position);
@@ -239,7 +233,6 @@ impl NetworkMaintainer {
             outgoing_links: outgoing,
             incoming_requests,
             incoming_granted: granted,
-            touched_nodes,
             delta,
         })
     }
@@ -316,9 +309,6 @@ impl NetworkMaintainer {
             kinds.push((src, kind));
         }
 
-        let mut touched_nodes: Vec<NodeId> = kinds.iter().map(|&(p, _)| p).collect();
-        touched_nodes.sort_unstable();
-        touched_nodes.dedup();
         let mut delta = self.capture_delta(&kinds);
         if self.capture_deltas {
             delta.push_leave(position);
@@ -328,7 +318,6 @@ impl NetworkMaintainer {
             position,
             repaired_links: repaired,
             dropped_links: dropped,
-            touched_nodes,
             delta,
         })
     }
@@ -555,11 +544,22 @@ mod tests {
             m.join(p, &mut rng).unwrap();
         }
         assert!(m.captures_deltas(), "capture is on by default");
+        // The blast radius of leaving 100: itself, its ring neighbours, and every
+        // source of a long link that dangles at it.
+        let mut blast: Vec<NodeId> = m
+            .graph()
+            .long_links()
+            .filter(|(_, link)| link.target == 100)
+            .map(|(src, _)| src)
+            .chain([98, 100, 102])
+            .collect();
+        blast.sort_unstable();
+        blast.dedup();
         let report = m.leave(100, &mut rng).unwrap();
-        // The delta covers exactly the touched set, logs the event, and every row
+        // The delta covers exactly the blast radius, logs the event, and every row
         // matches the post-event graph.
         let diffed: Vec<NodeId> = report.delta.changed_nodes().collect();
-        assert_eq!(diffed, report.touched_nodes);
+        assert_eq!(diffed, blast);
         assert_eq!(report.delta.leaves(), &[100]);
         assert!(report.delta.joins().is_empty());
         for rd in report.delta.rows() {
@@ -608,18 +608,26 @@ mod tests {
     }
 
     #[test]
-    fn disabled_capture_leaves_deltas_empty_but_touched_nodes_full() {
+    fn disabled_capture_leaves_deltas_empty_but_still_maintains_the_graph() {
         let mut m = maintainer(100, 3).delta_capture(false);
         assert!(!m.captures_deltas());
         let mut rng = StdRng::seed_from_u64(8);
         for p in [10u64, 30, 20, 40] {
             let report = m.join(p, &mut rng).unwrap();
             assert!(report.delta.is_empty(), "capture off ⇒ empty delta");
-            assert!(!report.touched_nodes.is_empty());
+            assert!(m.graph().is_present(p));
         }
+        // 20 sits between 10 and 30 on the ring.
+        assert!(m.graph().links(10).iter().any(|l| l.target == 20));
         let report = m.leave(20, &mut rng).unwrap();
         assert!(report.delta.is_empty());
-        assert!(report.touched_nodes.contains(&20));
+        assert!(!m.graph().is_present(20));
+        // The ring re-closed around the hole.
+        assert!(m
+            .graph()
+            .links(10)
+            .iter()
+            .any(|l| !l.is_long() && l.target == 30));
     }
 
     #[test]

@@ -684,25 +684,21 @@ mod tests {
             NetworkConfig::paper_default(256).construction(ConstructionMode::incremental_default());
         let mut net = Network::build(&config, &mut rng);
         let leave_report = net.leave(100, &mut rng).unwrap();
-        assert!(leave_report.touched_nodes.contains(&100));
+        let left: Vec<NodeId> = leave_report.delta.changed_nodes().collect();
+        assert!(left.contains(&100));
         assert!(
-            leave_report.touched_nodes.len() >= 3,
-            "a departure touches at least the hole and its ring neighbours: {:?}",
-            leave_report.touched_nodes
+            left.len() >= 3,
+            "a departure touches at least the hole and its ring neighbours: {left:?}"
         );
         let join_report = net.join(100, &mut rng).unwrap();
-        assert!(join_report.touched_nodes.contains(&100));
+        let joined: Vec<NodeId> = join_report.delta.changed_nodes().collect();
+        assert!(joined.contains(&100));
         assert!(
-            join_report.touched_nodes.len() >= 3,
-            "an arrival touches at least the newcomer and its ring neighbours: {:?}",
-            join_report.touched_nodes
+            joined.len() >= 3,
+            "an arrival touches at least the newcomer and its ring neighbours: {joined:?}"
         );
         // Everything listed is a real node of the space.
-        for &p in join_report
-            .touched_nodes
-            .iter()
-            .chain(&leave_report.touched_nodes)
-        {
+        for &p in joined.iter().chain(&left) {
             assert!(p < net.len());
         }
     }

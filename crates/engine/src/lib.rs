@@ -10,8 +10,11 @@
 //!
 //! * **Sharding** — the metric space is divided into [`NUM_BUCKETS`] buckets; each query
 //!   is assigned to a shard by its source bucket, and each shard owns a private route
-//!   cache and processes its queries in a fixed order. No locks are taken on the hot
-//!   path, and results are bit-for-bit identical at any thread count.
+//!   cache and admits its queries in a fixed order. With the cache off a shard routes
+//!   its lookups as interleaved walks with row prefetch
+//!   ([`WalkPipeline`](faultline_routing::WalkPipeline)); with it on, one at a time.
+//!   No locks are taken on the hot path, and results are bit-for-bit identical at any
+//!   thread count.
 //! * **Compiled snapshots** — every lookup routes over a CSR
 //!   [`FrozenView`](faultline_core::FrozenView). The engine freezes the overlay once
 //!   per topology stamp

@@ -7,7 +7,8 @@ use crate::stats::{BatchReport, QueryOutcome};
 use faultline_core::{FrozenView, Network, NetworkView};
 use faultline_overlay::{ChurnDelta, NodeId};
 use faultline_routing::{
-    ByzantineSet, FaultStrategy, KernelIsa, RedundantRouter, RouteScratch, Router,
+    ByzantineSet, FaultStrategy, KernelIsa, RedundantRouter, RouteResult, RouteScratch, Router,
+    Walk, WalkFeed, WalkPipeline, PIPELINE_WIDTH,
 };
 use faultline_sim::seed_for_trial;
 use faultline_telemetry::{EventKind, Phase, Telemetry};
@@ -18,11 +19,14 @@ use std::time::Instant;
 /// A reusable parallel query engine.
 ///
 /// The engine owns a worker pool and one [`RouteCache`] per shard. Queries are assigned
-/// to shards by the bucket of their *source* node; each shard's queries are processed
-/// sequentially (in batch order) by whichever worker picks the shard up. Because shards
-/// share nothing, the hot path takes no locks, and per-query results are bit-for-bit
-/// reproducible at any thread count: randomness comes from `(batch seed, query index)`
-/// and cache state evolves per shard in a fixed order.
+/// to shards by the bucket of their *source* node; each shard's queries are admitted
+/// in batch order by whichever worker picks the shard up, which routes them as
+/// [`PIPELINE_WIDTH`] interleaved walks ([`WalkPipeline`]) — or one at a time when
+/// the route cache is on, since cache probes and inserts must happen in a fixed
+/// order. Because shards share nothing, the hot path takes no locks, and per-query
+/// results are bit-for-bit reproducible at any thread count and pipeline width:
+/// every walk's randomness comes from `(batch seed, query index, attempt)` and
+/// cache state evolves per shard in a fixed order.
 ///
 /// Caches persist across batches so steady-state traffic sees realistic hit rates;
 /// churn evicts exactly the entries whose walks read a changed row, via
@@ -37,6 +41,8 @@ pub struct QueryEngine {
     config: EngineConfig,
     pool: rayon::ThreadPool,
     caches: Vec<RouteCache>,
+    /// Per-shard buffers reused across batches (one per cache).
+    shards: Vec<ShardBuffers>,
     /// The snapshot `run_batch` last compiled, with the
     /// [`Network::topology_stamp`] of the topology it froze.
     snapshot: Option<(u64, FrozenView)>,
@@ -57,6 +63,19 @@ pub struct QueryEngine {
 /// Clamps a count into an event-ring payload.
 pub(crate) fn saturate_u32(value: u64) -> u32 {
     u32::try_from(value).unwrap_or(u32::MAX)
+}
+
+/// One shard's reusable buffers: cleared per batch, never dropped, so a batch's
+/// shard partition, outcome staging and row dependencies allocate only while they
+/// grow.
+#[derive(Debug, Default)]
+struct ShardBuffers {
+    /// Batch indices of this shard's queries, in batch order.
+    queries: Vec<usize>,
+    /// `(batch index, outcome)` for every query the shard routed, in finishing order.
+    outcomes: Vec<(usize, QueryOutcome)>,
+    /// Row dependencies of the lookup in flight (cache-enabled shards only).
+    deps: Vec<u32>,
 }
 
 /// Per-batch byzantine apparatus shared (read-only) by every shard worker.
@@ -101,10 +120,14 @@ impl QueryEngine {
         } else {
             KernelIsa::scalar()
         };
+        let shards = (0..config.shard_count())
+            .map(|_| ShardBuffers::default())
+            .collect();
         Self {
             config,
             pool,
             caches,
+            shards,
             snapshot: None,
             snapshots_built: 0,
             adversaries: None,
@@ -376,84 +399,87 @@ impl QueryEngine {
         // Kernel dispatch is resolved exactly once per batch: every snapshot
         // carries its own kernel (the engine stamps its own at freeze time).
         let kernel = frozen.kernel();
-        let shard_count = self.caches.len();
-        let mut shard_queries: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
-        let mut outcomes: Vec<Option<QueryOutcome>> = vec![None; batch.len()];
+        let shard_count = self.shards.len();
+        for shard in &mut self.shards {
+            shard.queries.clear();
+            shard.outcomes.clear();
+        }
+        // Every slot starts as the pre-failed outcome; routed queries overwrite theirs.
+        let mut outcomes: Vec<QueryOutcome> = Vec::with_capacity(batch.len());
+        let mut routed = 0usize;
         for (index, &(source, target)) in batch.pairs().iter().enumerate() {
-            if source >= n || target >= n {
-                outcomes[index] = Some(QueryOutcome {
-                    source,
-                    target,
-                    delivered: false,
-                    hops: 0,
-                    recoveries: 0,
-                    cached: false,
-                    attempts: 0,
-                    adversary_drops: 0,
-                    total_hops: 0,
-                    nanos: 0,
-                });
-            } else {
-                shard_queries[(bucket_of(source, n) as usize) % shard_count].push(index);
+            outcomes.push(QueryOutcome {
+                source,
+                target,
+                delivered: false,
+                hops: 0,
+                recoveries: 0,
+                cached: false,
+                attempts: 0,
+                adversary_drops: 0,
+                total_hops: 0,
+                nanos: 0,
+            });
+            if source < n && target < n {
+                let shard = (bucket_of(source, n) as usize) % shard_count;
+                self.shards[shard].queries.push(index);
+                routed += 1;
             }
         }
 
-        let mut shard_outputs: Vec<Vec<(usize, QueryOutcome)>> = vec![Vec::new(); shard_count];
         let telemetry_handle = self.telemetry.clone();
         let telemetry = &telemetry_handle;
         // xlint: allow(determinism) -- batch wall-time is reported in stats only, never read by routing
         let started = Instant::now();
         self.pool.scope(|scope| {
-            let jobs = self
-                .caches
-                .iter_mut()
-                .zip(&shard_queries)
-                .zip(shard_outputs.iter_mut());
-            for ((cache, indices), output) in jobs {
-                if indices.is_empty() {
+            for (cache, shard) in self.caches.iter_mut().zip(self.shards.iter_mut()) {
+                if shard.queries.is_empty() {
                     continue;
                 }
                 scope.spawn(move |_| {
                     // Wall time this shard's worker spent on its slice of the batch
                     // (recording only bumps atomics, never the routing RNG stream).
                     let _shard_span = telemetry.span(Phase::BatchShard);
-                    // One scratch per shard worker: buffers are reused across every
-                    // query the shard routes, so the frozen kernel never allocates.
-                    // Path recording only matters to cache invalidation masks (the
-                    // byzantine lane forces it on per call and restores it); without
-                    // a cache the kernel skips the per-hop stores entirely.
+                    // Path recording feeds the cache entry's row-dependency list
+                    // (the byzantine lane forces it on per call and restores it);
+                    // without a cache the kernel skips the per-hop stores entirely.
                     let mut scratch = RouteScratch::new()
                         .with_path_recording(cache.enabled() && byzantine.is_none())
                         .with_kernel(kernel);
-                    // Likewise one row-dependency buffer per worker for cache misses.
-                    let mut deps: Vec<u32> = Vec::new();
-                    output.reserve_exact(indices.len());
-                    for &index in indices {
-                        let (source, target) = batch.pairs()[index];
-                        let outcome = match byzantine {
-                            Some(lane) => route_one_byzantine(
-                                frozen,
-                                lane,
-                                &mut scratch,
-                                batch.seed(),
-                                index,
-                                source,
-                                target,
-                            ),
-                            None => route_one(
-                                frozen,
-                                cache,
-                                &mut scratch,
-                                &mut deps,
-                                n,
-                                batch.seed(),
-                                index,
+                    match byzantine {
+                        Some(lane) => {
+                            for &index in &shard.queries {
+                                let (source, target) = batch.pairs()[index];
+                                let outcome = route_one_byzantine(
+                                    frozen,
+                                    lane,
+                                    &mut scratch,
+                                    batch.seed(),
+                                    index,
+                                    source,
+                                    target,
+                                );
+                                shard.outcomes.push((index, outcome));
+                            }
+                        }
+                        None => {
+                            // Cache probes, inserts and LRU order must follow batch
+                            // order, so a caching shard routes one walk at a time.
+                            let width = if cache.enabled() { 1 } else { PIPELINE_WIDTH };
+                            let mut feed = ShardFeed {
+                                pairs: batch.pairs(),
+                                queue: shard.queries.iter(),
+                                router: frozen.router(),
+                                retry_router: diversified(frozen.router()),
+                                batch_seed: batch.seed(),
                                 retry_budget,
-                                source,
-                                target,
-                            ),
-                        };
-                        output.push((index, outcome));
+                                n,
+                                cache: &mut *cache,
+                                deps: &mut shard.deps,
+                                outcomes: &mut shard.outcomes,
+                            };
+                            WalkPipeline::new(width, &scratch).run(frozen.routes(), &mut feed);
+                        }
                     }
                     // One batched telemetry publication per shard per batch: the
                     // per-query cache paths bump plain counters only.
@@ -463,15 +489,21 @@ impl QueryEngine {
         });
         let wall = started.elapsed();
 
-        // Scatter shard outputs back into batch order.
-        for (index, outcome) in shard_outputs.into_iter().flatten() {
-            outcomes[index] = Some(outcome);
+        // Scatter shard outputs straight into batch order.
+        let mut written = 0usize;
+        for shard in &self.shards {
+            for &(index, outcome) in &shard.outcomes {
+                outcomes[index] = outcome;
+            }
+            written += shard.outcomes.len();
         }
-        let outcomes = outcomes
-            .into_iter()
-            // xlint: allow(panic_policy) -- shard partitioning is exhaustive by construction (every index lands in exactly one shard slice); a gap is a bug worth crashing on, not a recoverable state
-            .map(|o| o.expect("every query is either pre-failed or routed by one shard"))
-            .collect();
+        // Shard partitioning is exhaustive by construction (every routed index lands
+        // in exactly one shard slice and yields one outcome); a gap is a bug worth
+        // crashing on, not a recoverable state.
+        assert_eq!(
+            written, routed,
+            "every routed query yields exactly one outcome"
+        );
         BatchReport::with_mode(outcomes, wall, self.threads(), byzantine.is_some())
     }
 }
@@ -487,116 +519,156 @@ fn diversified(router: Router) -> Router {
     }
 }
 
-/// Routes (or cache-serves) one query on a shard worker; cache misses go through
-/// the frozen CSR kernel.
+/// A lookup in flight on an honest shard: the [`Walk`] tag of each of its attempts.
+#[derive(Clone, Copy)]
+struct Lookup {
+    index: usize,
+    /// Admission time: `QueryOutcome::nanos` is measured from here.
+    started: Instant,
+    /// `seed_for_trial(batch seed, index)`: the first attempt's seed, and the root
+    /// every retry's seed derives from.
+    base_seed: u64,
+    attempts: u32,
+    total_hops: u64,
+}
+
+/// One honest shard's lookups as a [`WalkFeed`]: it admits the shard's queries in
+/// batch order (serving cache hits without a walk), turns a failed attempt into a
+/// follow-on walk while the retry budget lasts, and records each lookup's outcome
+/// and cache entry.
 ///
 /// When `retry_budget > 0` (failure epochs), an undelivered lookup re-routes up to
 /// that many more times, each attempt with a seed derived from `(batch seed, query
 /// index, attempt)` and a diversified strategy ([`diversified`]) — deterministic at
-/// any thread count, like the first attempt.
-///
-/// `deps` is the worker's reusable row-dependency buffer; it is cleared here.
-#[allow(clippy::too_many_arguments)]
-fn route_one(
-    frozen: &FrozenView,
-    cache: &mut RouteCache,
-    scratch: &mut RouteScratch,
-    deps: &mut Vec<u32>,
-    n: u64,
+/// any thread count and pipeline width, like the first attempt.
+struct ShardFeed<'a> {
+    pairs: &'a [(NodeId, NodeId)],
+    queue: std::slice::Iter<'a, usize>,
+    router: Router,
+    retry_router: Router,
     batch_seed: u64,
-    index: usize,
     retry_budget: u32,
-    source: NodeId,
-    target: NodeId,
-) -> QueryOutcome {
-    // xlint: allow(determinism) -- per-query latency stamp: reported in percentiles only, never read by routing
-    let started = Instant::now();
-    let source_bucket = bucket_of(source, n);
-    let target_bucket = bucket_of(target, n);
-    if let Some(hit) = cache.get(source_bucket, target_bucket) {
-        return QueryOutcome {
-            source,
-            target,
-            delivered: hit.delivered,
-            hops: hit.hops,
-            recoveries: hit.recoveries,
-            cached: true,
-            attempts: 1,
-            adversary_drops: 0,
-            total_hops: hit.hops,
-            nanos: started.elapsed().as_nanos() as u64,
-        };
-    }
-    let base_seed = seed_for_trial(batch_seed, index as u64);
-    // The visited-node list (the walk's row dependencies) only matters to a cache
-    // entry; it is skipped on the uncached hot path. Retries accumulate into the
-    // same dependency set: every attempt's walk is a row dependency of the final
-    // cached digest.
-    deps.clear();
-    let mut total_hops = 0u64;
-    let mut attempts = 0u32;
-    let (delivered, hops, recoveries) = loop {
-        let result = if attempts == 0 {
-            frozen.route_seeded(source, target, base_seed, scratch)
-        } else {
-            let mut rng = SmallRng::seed_from_u64(seed_for_trial(base_seed, u64::from(attempts)));
-            diversified(frozen.router()).route_frozen(
-                frozen.routes(),
+    n: u64,
+    cache: &'a mut RouteCache,
+    /// Row dependencies of the lookup in flight. Only a caching shard fills it,
+    /// and a caching shard has one walk in flight at a time.
+    deps: &'a mut Vec<u32>,
+    outcomes: &'a mut Vec<(usize, QueryOutcome)>,
+}
+
+impl WalkFeed for ShardFeed<'_> {
+    type Tag = Lookup;
+
+    fn admit(&mut self) -> Option<Walk<Lookup>> {
+        for &index in self.queue.by_ref() {
+            let (source, target) = self.pairs[index];
+            // xlint: allow(determinism) -- per-query latency stamp: reported in percentiles only, never read by routing
+            let started = Instant::now();
+            let buckets = (bucket_of(source, self.n), bucket_of(target, self.n));
+            if let Some(hit) = self.cache.get(buckets.0, buckets.1) {
+                self.outcomes.push((
+                    index,
+                    QueryOutcome {
+                        source,
+                        target,
+                        delivered: hit.delivered,
+                        hops: hit.hops,
+                        recoveries: hit.recoveries,
+                        cached: true,
+                        attempts: 1,
+                        adversary_drops: 0,
+                        total_hops: hit.hops,
+                        nanos: started.elapsed().as_nanos() as u64,
+                    },
+                ));
+                continue;
+            }
+            self.deps.clear();
+            let base_seed = seed_for_trial(self.batch_seed, index as u64);
+            return Some(Walk {
+                router: self.router,
                 source,
                 target,
-                &mut rng,
-                scratch,
-            )
-        };
-        if cache.enabled() {
-            deps.extend_from_slice(scratch.path());
+                seed: base_seed,
+                tag: Lookup {
+                    index,
+                    started,
+                    base_seed,
+                    attempts: 0,
+                    total_hops: 0,
+                },
+            });
         }
-        attempts += 1;
-        total_hops += result.hops;
-        if result.is_delivered() || attempts > retry_budget {
-            break (result.is_delivered(), result.hops, result.recoveries);
-        }
-    };
-    if cache.enabled() {
-        // The endpoints are dependencies even when the walk never reached them (a
-        // failed lookup's digest goes stale the moment its target's liveness flips);
-        // duplicates are harmless to the linear invalidation scan.
-        deps.push(source as u32);
-        deps.push(target as u32);
+        None
     }
-    // A random-reroute recovery samples the global alive set: the digest depends on
-    // membership state no row-dependency list can capture, so row-level invalidation
-    // must always evict it. Terminate never recovers; backtrack recovers along
-    // visited rows only. A retried lookup is volatile for the same reason — its
-    // diversified attempts re-route randomly.
-    let volatile = attempts > 1
-        || (recoveries > 0
-            && matches!(
-                frozen.router().strategy(),
-                FaultStrategy::RandomReroute { .. }
-            ));
-    cache.insert(
-        source_bucket,
-        target_bucket,
-        CachedRoute {
-            delivered,
-            hops,
-            recoveries,
-        },
-        deps,
-        volatile,
-    );
-    QueryOutcome {
-        source,
-        target,
-        delivered,
-        hops,
-        recoveries,
-        cached: false,
-        attempts,
-        adversary_drops: 0,
-        total_hops,
-        nanos: started.elapsed().as_nanos() as u64,
+
+    fn finish(
+        &mut self,
+        mut lookup: Lookup,
+        result: &RouteResult,
+        scratch: &RouteScratch,
+        _rng: &SmallRng,
+    ) -> Option<Walk<Lookup>> {
+        // Retries accumulate into the same dependency set: every attempt's walk is
+        // a row dependency of the final cached digest.
+        if self.cache.enabled() {
+            self.deps.extend_from_slice(scratch.path());
+        }
+        lookup.attempts += 1;
+        lookup.total_hops += result.hops;
+        let (source, target) = self.pairs[lookup.index];
+        if !result.is_delivered() && lookup.attempts <= self.retry_budget {
+            return Some(Walk {
+                router: self.retry_router,
+                source,
+                target,
+                seed: seed_for_trial(lookup.base_seed, u64::from(lookup.attempts)),
+                tag: lookup,
+            });
+        }
+        if self.cache.enabled() {
+            // The endpoints are dependencies even when the walk never reached them
+            // (a failed lookup's digest goes stale the moment its target's liveness
+            // flips); duplicates are harmless to the linear invalidation scan.
+            self.deps.push(source as u32);
+            self.deps.push(target as u32);
+        }
+        // A random-reroute recovery samples the global alive set: the digest depends
+        // on membership state no row-dependency list can capture, so row-level
+        // invalidation must always evict it. Terminate never recovers; backtrack
+        // recovers along visited rows only. A retried lookup is volatile for the
+        // same reason — its diversified attempts re-route randomly.
+        let volatile = lookup.attempts > 1
+            || (result.recoveries > 0
+                && matches!(self.router.strategy(), FaultStrategy::RandomReroute { .. }));
+        let (delivered, hops, recoveries) = (result.is_delivered(), result.hops, result.recoveries);
+        self.cache.insert(
+            bucket_of(source, self.n),
+            bucket_of(target, self.n),
+            CachedRoute {
+                delivered,
+                hops,
+                recoveries,
+            },
+            self.deps.as_slice(),
+            volatile,
+        );
+        self.outcomes.push((
+            lookup.index,
+            QueryOutcome {
+                source,
+                target,
+                delivered,
+                hops,
+                recoveries,
+                cached: false,
+                attempts: lookup.attempts,
+                adversary_drops: 0,
+                total_hops: lookup.total_hops,
+                nanos: lookup.started.elapsed().as_nanos() as u64,
+            },
+        ));
+        None
     }
 }
 

@@ -31,7 +31,11 @@ pub struct QueryOutcome {
     /// [`QueryOutcome::hops`] on the honest path; on the byzantine lane `hops` is the
     /// winning walk's latency cost while `total_hops` is what the network paid.
     pub total_hops: u64,
-    /// Wall-clock nanoseconds this query took on its worker.
+    /// Wall-clock nanoseconds from the query's admission on its shard worker to
+    /// its completion (cache hit, or last walk finished). An uncached shard routes
+    /// several walks interleaved on one worker, so this includes the hops of the
+    /// other walks in flight: it is the query's latency on a shared worker, not
+    /// the cost of its own walk.
     ///
     /// Raw readings of `0` — queries (typically cache hits) that finished below the
     /// platform timer's resolution — are clamped at batch-aggregation time to the

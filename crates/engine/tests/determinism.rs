@@ -6,9 +6,11 @@ mod common;
 
 use common::{live_oracle, verdicts};
 use faultline_core::{ConstructionMode, Network, NetworkConfig};
-use faultline_engine::{ChurnMix, EngineConfig, QueryBatch, QueryEngine};
+use faultline_engine::{ChurnMix, EngineConfig, FailureSchedule, QueryBatch, QueryEngine};
 use faultline_failure::NodeFailure;
-use rand::rngs::StdRng;
+use faultline_routing::{FaultStrategy, RouteScratch};
+use faultline_sim::seed_for_trial;
+use rand::rngs::{SmallRng, StdRng};
 use rand::SeedableRng;
 
 fn network(n: u64, seed: u64) -> Network {
@@ -65,6 +67,72 @@ fn determinism_holds_with_caching_disabled_too() {
     // With the default deterministic strategy every query also answers exactly
     // what a live-graph walk with the same per-query seed answers.
     assert_eq!(verdicts(&serial), live_oracle(&net, &batch));
+}
+
+#[test]
+fn pipelined_retries_are_identical_across_thread_counts_and_to_a_sequential_loop() {
+    // Cache off, so every shard routes its lookups as interleaved walks, and a
+    // failure schedule, so failed lookups chain diversified retries onto their
+    // lane while other walks are in flight.
+    let mut rng = StdRng::seed_from_u64(21);
+    let mut net = Network::build(&NetworkConfig::paper_default(1 << 10), &mut rng);
+    let mut failure_rng = StdRng::seed_from_u64(22);
+    net.apply_failure(&NodeFailure::fraction(0.35), &mut failure_rng);
+    let batch = QueryBatch::uniform(&net, 20_000, 23);
+    let schedule = FailureSchedule::partition_and_heal(64);
+    let budget = schedule.retry_budget();
+    assert!(budget > 0);
+    let run = |threads: usize| {
+        let config = EngineConfig::default()
+            .threads(threads)
+            .cache_capacity(0)
+            .failures(schedule.clone());
+        let report = QueryEngine::new(config).run_batch(&net, &batch);
+        report
+            .outcomes()
+            .iter()
+            .map(|o| (o.delivered, o.hops, o.recoveries, o.attempts, o.total_hops))
+            .collect::<Vec<_>>()
+    };
+    let serial = run(1);
+    for threads in [2usize, 4, 8] {
+        assert_eq!(serial, run(threads), "1 vs {threads} threads");
+    }
+    // The same lookups one at a time: the first attempt with the batch seed, then
+    // up to `budget` random re-route retries with seeds derived per attempt.
+    let frozen = net.view().freeze();
+    let retry_router = frozen
+        .router()
+        .with_strategy(FaultStrategy::RandomReroute { max_attempts: 2 });
+    let mut scratch = RouteScratch::new();
+    let sequential: Vec<_> = batch
+        .pairs()
+        .iter()
+        .enumerate()
+        .map(|(i, &(s, t))| {
+            let base = seed_for_trial(batch.seed(), i as u64);
+            let mut result = frozen.route_seeded(s, t, base, &mut scratch);
+            let (mut attempts, mut total_hops) = (1u32, result.hops);
+            while !result.is_delivered() && attempts <= budget {
+                let mut rng = SmallRng::seed_from_u64(seed_for_trial(base, u64::from(attempts)));
+                result = retry_router.route_frozen(frozen.routes(), s, t, &mut rng, &mut scratch);
+                attempts += 1;
+                total_hops += result.hops;
+            }
+            (
+                result.is_delivered(),
+                result.hops,
+                result.recoveries,
+                attempts,
+                total_hops,
+            )
+        })
+        .collect();
+    assert_eq!(serial, sequential);
+    assert!(
+        serial.iter().any(|&(_, _, _, attempts, _)| attempts > 1),
+        "35% damage must make some lookups retry"
+    );
 }
 
 #[test]

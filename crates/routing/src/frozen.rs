@@ -14,15 +14,24 @@
 //! [`RouteResult`] — property-tested in `tests/frozen_equivalence.rs`. The only
 //! difference is that the frozen path reads the topology as of the snapshot, which is
 //! exactly the "routing epoch" semantics the query engine wants: maintenance mutates
-//! the graph, then a rebuild publishes the next epoch's routes.
+//! the graph, then the epoch's typed delta is patched into the snapshot
+//! (`FrozenRoutes::apply_delta`) before the next epoch routes.
+//!
+//! The walk itself is one resumable state and a one-hop `step`. [`Router::route_frozen`]
+//! steps one walk to the end; [`WalkPipeline`] keeps several walks in flight and
+//! steps them round-robin, prefetching each walk's next row after its hop, so a
+//! worker overlaps the row fetches that a single walk would wait on one after
+//! another. Both run the same `step`, so they cannot drift apart.
 
 use crate::greedy::GreedyMode;
 use crate::result::{FailureReason, RouteOutcome, RouteResult};
-use crate::simd::KernelIsa;
+use crate::simd::{prefetch_row, KernelIsa};
 use crate::strategy::FaultStrategy;
 use crate::Router;
 use faultline_overlay::{FrozenRoutes, NodeId};
-use rand::Rng;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use std::ops::ControlFlow;
 
 /// Reusable per-worker buffers for [`Router::route_frozen`].
 ///
@@ -129,6 +138,101 @@ impl RouteScratch {
     #[must_use]
     pub fn path(&self) -> &[u32] {
         &self.path
+    }
+}
+
+/// Walks a [`WalkPipeline`] keeps in flight per worker when nothing orders them.
+///
+/// Each hop's row fetch depends on the previous hop, so one walk at a time waits on
+/// memory once the snapshot outgrows the cache. Interleaving independent walks
+/// overlaps those waits. Picked from the `route_kernel` width sweep (widths 1, 2,
+/// 4, 8 and 16 at 2^14 and at the paper's 2^17 with ℓ = lg n): at 2^17 width 2
+/// is clearly slower, widths 4 to 16 sit on one plateau within run-to-run noise,
+/// and 8 was the fastest or tied in two of three sweeps.
+pub const PIPELINE_WIDTH: usize = 8;
+
+/// One walk for a [`WalkPipeline`] to route: endpoints, the router whose mode and
+/// fault strategy it walks with, the seed of its own [`SmallRng`], and a caller tag
+/// handed back with its result.
+#[derive(Debug, Clone, Copy)]
+pub struct Walk<T> {
+    /// Routing configuration of this walk.
+    pub router: Router,
+    /// Where the walk starts.
+    pub source: NodeId,
+    /// Where it is headed.
+    pub target: NodeId,
+    /// Seed of the walk's `SmallRng` — the stream [`Router::route_frozen`] would
+    /// consume given `SmallRng::seed_from_u64(seed)`.
+    pub seed: u64,
+    /// Caller state carried through the pipeline untouched.
+    pub tag: T,
+}
+
+/// The source and sink of a [`WalkPipeline`] run.
+pub trait WalkFeed {
+    /// What the caller attaches to each walk.
+    type Tag: Copy;
+
+    /// The next walk to start, or `None` once the feed has no more. Called
+    /// whenever a lane is free and [`WalkFeed::finish`] named no follow-on walk.
+    fn admit(&mut self) -> Option<Walk<Self::Tag>>;
+
+    /// Receives a finished walk: its tag, its result, the scratch it ran in
+    /// (whose [`RouteScratch::path`] is that walk's visited sequence when
+    /// recording) and its RNG as the walk left it. A returned walk starts at once
+    /// in the same lane, ahead of any newly admitted one — the way a caller
+    /// chains retries of one lookup.
+    fn finish(
+        &mut self,
+        tag: Self::Tag,
+        result: &RouteResult,
+        scratch: &RouteScratch,
+        rng: &SmallRng,
+    ) -> Option<Walk<Self::Tag>>;
+}
+
+/// Routes many independent walks over one snapshot, several at a time.
+///
+/// The pipeline has a fixed number of lanes, each with its own [`RouteScratch`]
+/// and, while busy, one walk with its own RNG. [`WalkPipeline::run`] advances the
+/// live walks round-robin, one hop each, and after every hop prefetches the row
+/// that walk reads next, so its fetch overlaps the other lanes' work. Every walk
+/// takes the same hops through the same `step` as [`Router::route_frozen`] with
+/// `SmallRng::seed_from_u64(seed)`: results, scratch paths and RNG consumption
+/// are identical at any width; only the order in which walks finish differs.
+/// Width 1 is the sequential loop, feed calls included, in the same order.
+#[derive(Debug)]
+pub struct WalkPipeline<T> {
+    lanes: Vec<Lane<T>>,
+}
+
+#[derive(Debug)]
+struct Lane<T> {
+    scratch: RouteScratch,
+    walk: Option<InFlight<T>>,
+}
+
+#[derive(Debug)]
+struct InFlight<T> {
+    state: WalkState,
+    rng: SmallRng,
+    tag: T,
+}
+
+impl<T> WalkPipeline<T> {
+    /// A pipeline of `width` lanes (at least one), each with a copy of `scratch`
+    /// — its kernel and path-recording setting included.
+    #[must_use]
+    pub fn new(width: usize, scratch: &RouteScratch) -> Self {
+        Self {
+            lanes: (0..width.max(1))
+                .map(|_| Lane {
+                    scratch: scratch.clone(),
+                    walk: None,
+                })
+                .collect(),
+        }
     }
 }
 
@@ -305,6 +409,176 @@ fn random_alive_frozen<R: Rng + ?Sized>(
     Some(u64::from(alive[index]))
 }
 
+/// Resumable state of one greedy walk over a frozen snapshot: everything the hop
+/// loop carries from one hop to the next. [`WalkState::start`] checks the
+/// endpoints and resets the scratch, [`WalkState::step`] advances one hop (or
+/// applies the fault strategy once), and [`WalkState::finish`] turns the final
+/// outcome into a [`RouteResult`]. [`Router::route_frozen`] runs one walk start to
+/// finish; [`WalkPipeline`] round-robins several over the same `step`.
+#[derive(Debug, Clone, Copy)]
+struct WalkState {
+    router: Router,
+    target: u64,
+    current: u64,
+    /// Metric distance from `current` to `target`, carried instead of recomputed.
+    distance: u64,
+    hops: u64,
+    recoveries: u64,
+    max_hops: u64,
+    reroutes_used: u32,
+    /// The backtracking history window (0 unless the strategy backtracks).
+    backtrack_depth: usize,
+    one_sided: bool,
+    /// Whether visited nodes are pushed into the scratch path.
+    record: bool,
+}
+
+impl WalkState {
+    /// Starts a walk from `source`: resets the scratch buffers and records the
+    /// source. Breaks with the final result when the walk is over before its
+    /// first hop (a dead endpoint, or `source == target`).
+    #[inline(always)]
+    fn start<M: CsrMetric>(
+        router: Router,
+        metric: M,
+        frozen: &FrozenRoutes,
+        source: NodeId,
+        target: NodeId,
+        scratch: &mut RouteScratch,
+    ) -> ControlFlow<RouteResult, Self> {
+        let record_path = router.records_path();
+        scratch.path.clear();
+        if !frozen.is_alive(source) {
+            return ControlFlow::Break(RouteResult::immediate_failure(
+                FailureReason::DeadSource,
+                record_path,
+            ));
+        }
+        if !frozen.is_alive(target) {
+            return ControlFlow::Break(RouteResult::immediate_failure(
+                FailureReason::DeadTarget,
+                record_path,
+            ));
+        }
+        scratch.history.clear();
+        scratch.dead_ends.clear();
+        let walk = Self {
+            router,
+            target,
+            current: source,
+            distance: metric.distance(source, target),
+            hops: 0,
+            recoveries: 0,
+            max_hops: router.max_hops().unwrap_or(4 * frozen.len() + 16),
+            reroutes_used: 0,
+            backtrack_depth: match router.strategy() {
+                FaultStrategy::Backtrack { history } => history,
+                _ => 0,
+            },
+            one_sided: router.mode() == GreedyMode::OneSided,
+            // The router-level flag needs the visited sequence to build the result path.
+            record: scratch.record_path || record_path,
+        };
+        if walk.record {
+            scratch.path.push(source as u32);
+        }
+        if source == target {
+            return ControlFlow::Break(walk.finish(RouteOutcome::Delivered, scratch));
+        }
+        ControlFlow::Continue(walk)
+    }
+
+    /// Advances the walk by one hop: to the best usable neighbour, or — at a dead
+    /// end — wherever the fault strategy sends it. Returns the final outcome once
+    /// the walk is over (delivered, stuck, or out of hop budget), `None` while it
+    /// goes on. Only the random re-route strategy draws from `rng`.
+    #[inline(always)]
+    fn step<M: CsrMetric, R: Rng + ?Sized>(
+        &mut self,
+        metric: M,
+        frozen: &FrozenRoutes,
+        rng: &mut R,
+        scratch: &mut RouteScratch,
+    ) -> Option<RouteOutcome> {
+        if self.hops >= self.max_hops {
+            return Some(RouteOutcome::Failed(FailureReason::HopLimit));
+        }
+        let excluded: &[u32] = if self.backtrack_depth > 0 {
+            &scratch.dead_ends
+        } else {
+            &[]
+        };
+        if let Some((next_distance, next)) = best_neighbor_csr(
+            metric,
+            scratch.kernel,
+            frozen,
+            self.current,
+            self.distance,
+            self.target,
+            self.one_sided,
+            excluded,
+        ) {
+            if self.backtrack_depth > 0 {
+                if scratch.history.len() == self.backtrack_depth {
+                    scratch.history.remove(0);
+                }
+                scratch.history.push(self.current as u32);
+            }
+            self.current = next;
+            self.distance = next_distance;
+        } else {
+            // Dead end: no usable neighbour is closer to the target.
+            let stuck = Some(RouteOutcome::Failed(FailureReason::Stuck));
+            match self.router.strategy() {
+                FaultStrategy::Terminate => return stuck,
+                FaultStrategy::RandomReroute { max_attempts } => {
+                    if self.reroutes_used >= max_attempts {
+                        return stuck;
+                    }
+                    self.reroutes_used += 1;
+                    self.recoveries += 1;
+                    match random_alive_frozen(frozen, self.current, rng) {
+                        Some(node) => self.current = node,
+                        None => return stuck,
+                    }
+                }
+                FaultStrategy::Backtrack { .. } => {
+                    self.recoveries += 1;
+                    // Sorted insert keeps the exclusion check in
+                    // `best_neighbor_csr` a binary search; membership is all
+                    // that matters, so ordering changes no result.
+                    let dead = self.current as u32;
+                    if let Err(position) = scratch.dead_ends.binary_search(&dead) {
+                        scratch.dead_ends.insert(position, dead);
+                    }
+                    match scratch.history.pop() {
+                        Some(prev) => self.current = u64::from(prev),
+                        None => return stuck,
+                    }
+                }
+            }
+            self.distance = metric.distance(self.current, self.target);
+        }
+        self.hops += 1;
+        if self.record {
+            scratch.path.push(self.current as u32);
+        }
+        (self.current == self.target).then_some(RouteOutcome::Delivered)
+    }
+
+    /// The walk's [`RouteResult`] under `outcome`.
+    fn finish(&self, outcome: RouteOutcome, scratch: &RouteScratch) -> RouteResult {
+        let record_path = self.router.records_path();
+        RouteResult {
+            outcome,
+            hops: self.hops,
+            recoveries: self.recoveries,
+            // xlint: allow(no_alloc) -- the result path is opt-in: only a router built with_path_recording(true) reaches this collect, and the counting-allocator test pins the recording-off hot path at zero allocations
+            path: record_path.then(|| scratch.path.iter().map(|&p| u64::from(p)).collect()),
+        }
+    }
+}
+
 impl Router {
     /// Routes one message over a compiled snapshot — the zero-allocation fast path.
     ///
@@ -340,157 +614,103 @@ impl Router {
         rng: &mut R,
         scratch: &mut RouteScratch,
     ) -> RouteResult {
-        let record_path = self.records_path();
-        // The router-level flag needs the visited sequence to build the result path.
-        let record_scratch = scratch.record_path || record_path;
-        scratch.path.clear();
-        if !frozen.is_alive(source) {
-            return RouteResult::immediate_failure(FailureReason::DeadSource, record_path);
-        }
-        if !frozen.is_alive(target) {
-            return RouteResult::immediate_failure(FailureReason::DeadTarget, record_path);
-        }
-
-        let max_hops = self.max_hops().unwrap_or(4 * frozen.len() + 16);
-        // Dispatch is resolved here, once per route; the per-hop cost of SIMD
-        // selection is a single well-predicted branch on this copy.
-        let kernel = scratch.kernel;
-        let mut hops = 0u64;
-        let mut recoveries = 0u64;
-        let mut current = source;
-        let mut current_distance = metric.distance(current, target);
-        if record_scratch {
-            scratch.path.push(source as u32);
-        }
-
-        let backtrack_depth = match self.strategy() {
-            FaultStrategy::Backtrack { history } => history,
-            _ => 0,
+        let mut walk = match WalkState::start(*self, metric, frozen, source, target, scratch) {
+            ControlFlow::Continue(walk) => walk,
+            ControlFlow::Break(result) => return result,
         };
-        scratch.history.clear();
-        scratch.dead_ends.clear();
-        let one_sided = self.mode() == GreedyMode::OneSided;
-        let mut reroutes_used = 0u32;
-
-        let finish =
-            |outcome: RouteOutcome, hops, recoveries, scratch: &RouteScratch| RouteResult {
-                outcome,
-                hops,
-                recoveries,
-                // xlint: allow(no_alloc) -- the result path is opt-in: only a router built with_path_recording(true) reaches this collect, and the counting-allocator test pins the recording-off hot path at zero allocations
-                path: record_path.then(|| scratch.path.iter().map(|&p| u64::from(p)).collect()),
-            };
-
         loop {
-            if current == target {
-                return finish(RouteOutcome::Delivered, hops, recoveries, scratch);
+            if let Some(outcome) = walk.step(metric, frozen, rng, scratch) {
+                return walk.finish(outcome, scratch);
             }
-            if hops >= max_hops {
-                return finish(
-                    RouteOutcome::Failed(FailureReason::HopLimit),
-                    hops,
-                    recoveries,
-                    scratch,
-                );
-            }
+        }
+    }
+}
 
-            let excluded: &[u32] = if backtrack_depth > 0 {
-                &scratch.dead_ends
-            } else {
-                &[]
+impl<T: Copy> WalkPipeline<T> {
+    /// Routes every walk `feed` admits over `frozen`, keeping up to one per lane
+    /// in flight. Round-robin, each live walk
+    /// advances one hop and then prefetches the row its next hop reads; a lane
+    /// whose walk finishes takes the feed's follow-on walk, else the next
+    /// admitted one. Returns once the feed is exhausted and every walk is done.
+    pub fn run<F: WalkFeed<Tag = T>>(&mut self, frozen: &FrozenRoutes, feed: &mut F) {
+        if frozen.is_ring() {
+            let metric = RingMetric { n: frozen.len() };
+            self.run_impl(metric, frozen, feed);
+        } else {
+            self.run_impl(LineMetric, frozen, feed);
+        }
+    }
+
+    fn run_impl<M: CsrMetric, F: WalkFeed<Tag = T>>(
+        &mut self,
+        metric: M,
+        frozen: &FrozenRoutes,
+        feed: &mut F,
+    ) {
+        let mut live = 0usize;
+        for lane in &mut self.lanes {
+            live += usize::from(lane.launch(None, metric, frozen, feed));
+        }
+        while live > 0 {
+            for lane in &mut self.lanes {
+                let Some(walk) = lane.walk.as_mut() else {
+                    continue;
+                };
+                let Some(outcome) =
+                    walk.state
+                        .step(metric, frozen, &mut walk.rng, &mut lane.scratch)
+                else {
+                    prefetch_row(frozen.neighbors_padded(walk.state.current));
+                    continue;
+                };
+                let result = walk.state.finish(outcome, &lane.scratch);
+                let follow_on = feed.finish(walk.tag, &result, &lane.scratch, &walk.rng);
+                lane.walk = None;
+                if !lane.launch(follow_on, metric, frozen, feed) {
+                    live -= 1;
+                }
+            }
+        }
+    }
+}
+
+impl<T: Copy> Lane<T> {
+    /// Starts `pending` (or, without one, the feed's next admitted walk) in this
+    /// lane and prefetches its source row. Walks that finish before their first hop
+    /// are reported straight back to the feed, so this keeps going until a walk is
+    /// in flight (`true`) or the feed has nothing left (`false`).
+    #[inline(always)]
+    fn launch<M: CsrMetric, F: WalkFeed<Tag = T>>(
+        &mut self,
+        mut pending: Option<Walk<T>>,
+        metric: M,
+        frozen: &FrozenRoutes,
+        feed: &mut F,
+    ) -> bool {
+        loop {
+            let Some(walk) = pending.take().or_else(|| feed.admit()) else {
+                return false;
             };
-            if let Some((next_distance, next)) = best_neighbor_csr(
+            let rng = SmallRng::seed_from_u64(walk.seed);
+            match WalkState::start(
+                walk.router,
                 metric,
-                kernel,
                 frozen,
-                current,
-                current_distance,
-                target,
-                one_sided,
-                excluded,
+                walk.source,
+                walk.target,
+                &mut self.scratch,
             ) {
-                if backtrack_depth > 0 {
-                    if scratch.history.len() == backtrack_depth {
-                        scratch.history.remove(0);
-                    }
-                    scratch.history.push(current as u32);
+                ControlFlow::Continue(state) => {
+                    prefetch_row(frozen.neighbors_padded(state.current));
+                    self.walk = Some(InFlight {
+                        state,
+                        rng,
+                        tag: walk.tag,
+                    });
+                    return true;
                 }
-                current = next;
-                current_distance = next_distance;
-                hops += 1;
-                if record_scratch {
-                    scratch.path.push(current as u32);
-                }
-                continue;
-            }
-
-            // Dead end: no usable neighbour is closer to the target.
-            match self.strategy() {
-                FaultStrategy::Terminate => {
-                    return finish(
-                        RouteOutcome::Failed(FailureReason::Stuck),
-                        hops,
-                        recoveries,
-                        scratch,
-                    );
-                }
-                FaultStrategy::RandomReroute { max_attempts } => {
-                    if reroutes_used >= max_attempts {
-                        return finish(
-                            RouteOutcome::Failed(FailureReason::Stuck),
-                            hops,
-                            recoveries,
-                            scratch,
-                        );
-                    }
-                    reroutes_used += 1;
-                    recoveries += 1;
-                    match random_alive_frozen(frozen, current, rng) {
-                        Some(node) => {
-                            current = node;
-                            current_distance = metric.distance(current, target);
-                            hops += 1;
-                            if record_scratch {
-                                scratch.path.push(current as u32);
-                            }
-                        }
-                        None => {
-                            return finish(
-                                RouteOutcome::Failed(FailureReason::Stuck),
-                                hops,
-                                recoveries,
-                                scratch,
-                            );
-                        }
-                    }
-                }
-                FaultStrategy::Backtrack { .. } => {
-                    recoveries += 1;
-                    // Sorted insert keeps the exclusion check in
-                    // `best_neighbor_csr` a binary search; membership is all
-                    // that matters, so ordering changes no result.
-                    let dead = current as u32;
-                    if let Err(position) = scratch.dead_ends.binary_search(&dead) {
-                        scratch.dead_ends.insert(position, dead);
-                    }
-                    match scratch.history.pop() {
-                        Some(prev) => {
-                            current = u64::from(prev);
-                            current_distance = metric.distance(current, target);
-                            hops += 1;
-                            if record_scratch {
-                                scratch.path.push(current as u32);
-                            }
-                        }
-                        None => {
-                            return finish(
-                                RouteOutcome::Failed(FailureReason::Stuck),
-                                hops,
-                                recoveries,
-                                scratch,
-                            );
-                        }
-                    }
+                ControlFlow::Break(result) => {
+                    pending = feed.finish(walk.tag, &result, &self.scratch, &rng);
                 }
             }
         }

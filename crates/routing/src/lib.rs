@@ -55,7 +55,7 @@ mod simd;
 mod strategy;
 
 pub use byzantine::{ByzantineSet, RedundantRouteResult, RedundantRouter};
-pub use frozen::RouteScratch;
+pub use frozen::{RouteScratch, Walk, WalkFeed, WalkPipeline, PIPELINE_WIDTH};
 pub use greedy::{best_neighbor, direction_towards, GreedyMode};
 pub use result::{FailureReason, RouteOutcome, RouteResult};
 pub use router::Router;

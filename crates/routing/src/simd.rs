@@ -167,6 +167,27 @@ impl KernelIsa {
     }
 }
 
+/// Asks the CPU to start loading `row` — its first and last cache line, which
+/// covers every row of up to 16 labels wherever it is aligned — so that a later
+/// scan of it finds the row in cache. A hint only: it reads no data, changes no
+/// result, and compiles to nothing off x86_64.
+#[inline(always)]
+pub(crate) fn prefetch_row(row: &[u32]) {
+    #[cfg(target_arch = "x86_64")]
+    if let (Some(first), Some(last)) = (row.first(), row.last()) {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: a prefetch is a hint that never faults or reads data; both
+        // pointers point into the live borrowed slice `row`, and SSE (which
+        // provides the instruction) is part of the x86_64 baseline.
+        unsafe {
+            _mm_prefetch::<_MM_HINT_T0>(core::ptr::from_ref(first).cast());
+            _mm_prefetch::<_MM_HINT_T0>(core::ptr::from_ref(last).cast());
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = row;
+}
+
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     //! The AVX2 lane implementations. Distance arithmetic stays in **32-bit**

@@ -10,15 +10,23 @@
 //! frozen snapshot twice — once with the auto-detected kernel (AVX2 where the CPU
 //! has it) and once with the kernel pinned to the portable scalar fold
 //! (`RouteScratch::with_simd(false)`) — and all three walks must agree bit for bit.
+//!
+//! The interleaved [`WalkPipeline`] runs the same walks through the same step
+//! function, several at a time: at every width, each walk's result, scratch path
+//! and RNG consumption must equal a sequential `route_frozen` call's — and so must
+//! the follow-on walks a feed chains onto failed ones.
 
 use faultline_linkdist::InversePowerLaw;
 use faultline_metric::Geometry;
 use faultline_overlay::{
     ChurnDelta, FrozenRoutes, GraphBuilder, OverlayGraph, RowChangeKind, PAD_SENTINEL, SIMD_LANES,
 };
-use faultline_routing::{FaultStrategy, GreedyMode, RouteScratch, Router};
+use faultline_routing::{
+    FaultStrategy, GreedyMode, RouteResult, RouteScratch, Router, Walk, WalkFeed, WalkPipeline,
+};
 use proptest::prelude::*;
-use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
+use rand::rngs::{SmallRng, StdRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 fn build(n: u64, ell: usize, seed: u64, ring: bool) -> OverlayGraph {
     let geometry = if ring {
@@ -116,8 +124,174 @@ fn strategy_from(pick: u8) -> FaultStrategy {
     }
 }
 
+/// What one walk leaves behind: its result, its scratch path, and the next draw
+/// of its RNG (which pins how much randomness it consumed).
+type WalkTrace = (RouteResult, Vec<u32>, u64);
+
+/// The router a follow-on walk uses: random re-route, so a retry of a failed walk
+/// can take a different route.
+fn follow_on_router(router: Router) -> Router {
+    router.with_strategy(FaultStrategy::RandomReroute { max_attempts: 2 })
+}
+
+/// Feeds `pairs` to a pipeline in order and chains one follow-on walk (a fresh
+/// seed and [`follow_on_router`]) onto every failed first walk, recording each
+/// walk's trace under `(pair index, attempt)`.
+struct TraceFeed<'a> {
+    router: Router,
+    pairs: &'a [(u64, u64)],
+    seed: u64,
+    next: usize,
+    traces: Vec<((usize, u32), WalkTrace)>,
+}
+
+impl WalkFeed for TraceFeed<'_> {
+    type Tag = (usize, u32);
+
+    fn admit(&mut self) -> Option<Walk<(usize, u32)>> {
+        let index = self.next;
+        let &(source, target) = self.pairs.get(index)?;
+        self.next += 1;
+        Some(Walk {
+            router: self.router,
+            source,
+            target,
+            seed: self.seed ^ index as u64,
+            tag: (index, 0),
+        })
+    }
+
+    fn finish(
+        &mut self,
+        (index, attempt): (usize, u32),
+        result: &RouteResult,
+        scratch: &RouteScratch,
+        rng: &SmallRng,
+    ) -> Option<Walk<(usize, u32)>> {
+        let trace = (
+            result.clone(),
+            scratch.path().to_vec(),
+            rng.clone().next_u64(),
+        );
+        self.traces.push(((index, attempt), trace));
+        let (source, target) = self.pairs[index];
+        (!result.is_delivered() && attempt == 0).then(|| Walk {
+            router: follow_on_router(self.router),
+            source,
+            target,
+            seed: !(self.seed ^ index as u64),
+            tag: (index, 1),
+        })
+    }
+}
+
+/// The same walks, one at a time through `route_frozen`, in the order a width-1
+/// pipeline finishes them.
+fn sequential_traces(
+    router: Router,
+    frozen: &FrozenRoutes,
+    pairs: &[(u64, u64)],
+    seed: u64,
+    scratch: &mut RouteScratch,
+) -> Vec<((usize, u32), WalkTrace)> {
+    let mut traces = Vec::new();
+    let mut walk = |router: Router, s: u64, t: u64, walk_seed: u64, tag| {
+        let mut rng = SmallRng::seed_from_u64(walk_seed);
+        let result = router.route_frozen(frozen, s, t, &mut rng, scratch);
+        let delivered = result.is_delivered();
+        traces.push((tag, (result, scratch.path().to_vec(), rng.next_u64())));
+        delivered
+    };
+    for (index, &(s, t)) in pairs.iter().enumerate() {
+        if !walk(router, s, t, seed ^ index as u64, (index, 0)) {
+            walk(
+                follow_on_router(router),
+                s,
+                t,
+                !(seed ^ index as u64),
+                (index, 1),
+            );
+        }
+    }
+    traces
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every pipeline width routes every walk exactly as `route_frozen` does:
+    /// widths 1, 2, 3, 8 and one wider than the batch; ring and line; both greedy
+    /// modes and all three fault strategies; healthy, 35%-damaged and
+    /// `apply_delta`-patched snapshots (overflow rows); path recording on and off
+    /// in the scratch and in the router; both scan kernels. Width 1 also finishes
+    /// the walks in sequential order.
+    #[test]
+    fn pipeline_matches_sequential_route_frozen(
+        n in 16u64..900,
+        ell in 1usize..20,
+        seed in any::<u64>(),
+        ring in any::<bool>(),
+        one_sided in any::<bool>(),
+        strategy_pick in 0u8..3,
+        damage in 0u8..3,
+        record_scratch in any::<bool>(),
+        record_router in any::<bool>(),
+        simd in any::<bool>(),
+    ) {
+        let mut graph = build(n, ell, seed, ring);
+        let frozen = match damage {
+            0 => graph.freeze(),
+            1 => {
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x35);
+                for p in 0..n {
+                    if rng.gen_bool(0.35) {
+                        graph.fail_node(p);
+                    }
+                }
+                graph.freeze()
+            }
+            _ => {
+                // Churn patched into an existing snapshot: changed rows move to
+                // the overflow region.
+                let mut snapshot = graph.freeze();
+                churn(&mut graph, seed, 0.2, 0.2);
+                let mut delta = ChurnDelta::new();
+                for p in 0..n {
+                    let row = graph.usable_neighbors(p).map(|q| q as u32).collect();
+                    delta.record(p, RowChangeKind::Structural, graph.is_alive(p), row);
+                }
+                snapshot.apply_delta(&graph, &delta);
+                snapshot
+            }
+        };
+        let mode = if one_sided { GreedyMode::OneSided } else { GreedyMode::TwoSided };
+        let router = Router::new()
+            .with_mode(mode)
+            .with_strategy(strategy_from(strategy_pick))
+            .with_path_recording(record_router);
+        let scratch = RouteScratch::new()
+            .with_path_recording(record_scratch)
+            .with_simd(simd);
+        let mut pair_rng = StdRng::seed_from_u64(seed ^ 0x91FE);
+        let pairs: Vec<(u64, u64)> = (0..24)
+            .map(|_| (pair_rng.gen_range(0..n), pair_rng.gen_range(0..n)))
+            .collect();
+
+        let sequential = sequential_traces(router, &frozen, &pairs, seed, &mut scratch.clone());
+        let mut by_walk = sequential.clone();
+        by_walk.sort_by_key(|&(tag, _)| tag);
+        for width in [1, 2, 3, 8, pairs.len() + 5] {
+            let mut pipeline = WalkPipeline::new(width, &scratch);
+            let mut feed = TraceFeed { router, pairs: &pairs, seed, next: 0, traces: Vec::new() };
+            pipeline.run(&frozen, &mut feed);
+            if width == 1 {
+                prop_assert_eq!(&feed.traces, &sequential, "width 1 is the sequential loop");
+            }
+            let mut traces = feed.traces;
+            traces.sort_by_key(|&(tag, _)| tag);
+            prop_assert_eq!(&traces, &by_walk, "width {} diverged", width);
+        }
+    }
 
     #[test]
     fn route_frozen_matches_route_bit_for_bit(

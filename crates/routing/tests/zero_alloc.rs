@@ -7,7 +7,9 @@
 //! The contract is proven for both distance-scan kernels — auto-detected (the SIMD
 //! scan over lane-padded rows, where the CPU has it) and pinned scalar — on rows
 //! long enough to dispatch the vector path, including unpadded overflow rows
-//! patched in by `apply_delta`.
+//! patched in by `apply_delta`. The interleaved [`WalkPipeline`] inherits the
+//! contract: once built and warmed up, routing a stream of walks (with follow-on
+//! walks chained onto failed ones) allocates nothing either.
 //!
 //! This file intentionally holds a single test: the allocation counter is global to
 //! the test binary, and a concurrently running test would pollute the delta.
@@ -15,7 +17,10 @@
 use faultline_linkdist::InversePowerLaw;
 use faultline_metric::Geometry;
 use faultline_overlay::{ChurnDelta, GraphBuilder, OverlayGraph, RowChangeKind};
-use faultline_routing::{ByzantineSet, FaultStrategy, RedundantRouter, RouteScratch, Router};
+use faultline_routing::{
+    ByzantineSet, FaultStrategy, RedundantRouter, RouteResult, RouteScratch, Router, Walk,
+    WalkFeed, WalkPipeline, PIPELINE_WIDTH,
+};
 use rand::rngs::{SmallRng, StdRng};
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -47,6 +52,55 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Streams `pairs` through a pipeline, retrying each failed walk once with
+/// random re-route; counts deliveries without keeping any result.
+struct CountingFeed<'a> {
+    router: Router,
+    pairs: &'a [(u64, u64)],
+    next: usize,
+    delivered: usize,
+}
+
+impl WalkFeed for CountingFeed<'_> {
+    type Tag = (usize, bool);
+
+    fn admit(&mut self) -> Option<Walk<(usize, bool)>> {
+        let index = self.next;
+        let &(source, target) = self.pairs.get(index)?;
+        self.next += 1;
+        Some(Walk {
+            router: self.router,
+            source,
+            target,
+            seed: index as u64,
+            tag: (index, false),
+        })
+    }
+
+    fn finish(
+        &mut self,
+        (index, retried): (usize, bool),
+        result: &RouteResult,
+        _scratch: &RouteScratch,
+        _rng: &SmallRng,
+    ) -> Option<Walk<(usize, bool)>> {
+        if result.is_delivered() {
+            self.delivered += 1;
+            return None;
+        }
+        let (source, target) = self.pairs[index];
+        (!retried).then(|| Walk {
+            router: self
+                .router
+                .with_strategy(FaultStrategy::RandomReroute { max_attempts: 2 }),
+            source,
+            target,
+            seed: !(index as u64),
+            tag: (index, true),
+        })
+    }
+}
 
 fn damaged_graph(n: u64, ell: usize, seed: u64) -> OverlayGraph {
     let geometry = Geometry::line(n);
@@ -146,6 +200,42 @@ fn frozen_kernel_allocates_nothing_per_query_after_warmup() {
             "SIMD and scalar kernels disagree ({})",
             strategy.label(),
         );
+    }
+
+    // The pipeline: lanes and their scratches are built once; after one warm-up
+    // stream sizes the lanes' buffers, a second stream allocates nothing.
+    for strategy in [FaultStrategy::Terminate, FaultStrategy::paper_backtrack()] {
+        for simd in [true, false] {
+            let router = Router::new().with_strategy(strategy);
+            let scratch = RouteScratch::new()
+                .with_path_recording(false)
+                .with_simd(simd);
+            let mut pipeline = WalkPipeline::new(PIPELINE_WIDTH, &scratch);
+            let run = |pipeline: &mut WalkPipeline<(usize, bool)>| {
+                let mut feed = CountingFeed {
+                    router,
+                    pairs: &pairs,
+                    next: 0,
+                    delivered: 0,
+                };
+                pipeline.run(&frozen, &mut feed);
+                feed.delivered
+            };
+            let warm = run(&mut pipeline);
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let again = run(&mut pipeline);
+            let after = ALLOCATIONS.load(Ordering::Relaxed);
+            assert_eq!(warm, again);
+            assert!(warm > 0, "some pipelined walks must deliver");
+            assert_eq!(
+                after - before,
+                0,
+                "pipeline allocated {} times in {} queries ({}, simd {simd})",
+                after - before,
+                pairs.len(),
+                strategy.label(),
+            );
+        }
     }
 
     // The byzantine-redundant frozen path inherits the contract: retry walks reuse the
