@@ -76,8 +76,9 @@ const MIN_BYZANTINE_QPS: f64 = 150_000.0;
 /// the machine.
 const MIN_BYZANTINE_SUCCESS: f64 = 0.55;
 
-/// `--quick` floor for `headline.telemetry_overhead_ratio` (instrumented warm-cache
-/// throughput over the telemetry-disabled baseline on bit-identical batches).
+/// `--quick` floor for `headline.telemetry_overhead_ratio` (instrumented uncached
+/// throughput, every query a real lookup, over the telemetry-disabled baseline on
+/// bit-identical batches).
 /// Telemetry is relaxed atomics plus one clock read per phase; it must stay within
 /// 5% of free, or the instrumentation has crept onto the per-query hot path.
 const MIN_TELEMETRY_RATIO: f64 = 0.95;

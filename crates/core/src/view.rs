@@ -76,13 +76,6 @@ impl<'a> NetworkView<'a> {
         self.router.route(self.graph, source, target, &mut rng)
     }
 
-    /// Same view with an overridden hop budget.
-    #[must_use]
-    pub fn with_max_hops(mut self, max_hops: u64) -> Self {
-        self.router = self.router.with_max_hops(max_hops);
-        self
-    }
-
     /// Compiles the view into an owned [`FrozenView`] routing snapshot.
     ///
     /// Freezing is `O(nodes + links)` and amortises over a whole batch of queries;
@@ -139,8 +132,8 @@ impl FrozenView {
         self.kernel
     }
 
-    /// Same snapshot, dispatching to an explicit kernel (the engine's
-    /// `EngineConfig::simd(false)` A/B toggle pins [`KernelIsa::scalar`]).
+    /// Same snapshot, dispatching to an explicit kernel ([`KernelIsa::scalar`]
+    /// pins the portable fold, the baseline of the scalar A/B arms).
     #[must_use]
     pub fn with_kernel(mut self, kernel: KernelIsa) -> Self {
         self.kernel = kernel;

@@ -104,21 +104,11 @@ impl ByzantineConfig {
 
 /// A typed rejection from [`EngineConfig::validate`].
 ///
-/// Every variant names a configuration that previous releases either silently
-/// clamped (shard counts) or panicked on deep in a builder (byzantine knobs). The
-/// validation pass replaces both behaviours with one typed, diagnosable error.
+/// Every variant names a configuration that would otherwise panic deep in a
+/// builder (byzantine knobs) or silently do less than it says (a schedule tail
+/// that never fires).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
-    /// `shards == 0`: no unit of parallel work could ever be scheduled.
-    ZeroShards,
-    /// More shards than source buckets: queries are assigned to shards by source
-    /// bucket, so the excess shards could never receive work.
-    ShardsExceedBuckets {
-        /// The configured shard count.
-        shards: usize,
-        /// The fixed bucket count queries shard by.
-        buckets: usize,
-    },
     /// A Byzantine corruption fraction outside `[0, 1]`.
     ByzantineFractionOutOfRange {
         /// The offending fraction.
@@ -143,11 +133,6 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::ZeroShards => write!(f, "shard count must be at least 1"),
-            ConfigError::ShardsExceedBuckets { shards, buckets } => write!(
-                f,
-                "{shards} shards exceed the {buckets} source buckets; the excess could never receive work"
-            ),
             ConfigError::ByzantineFractionOutOfRange { fraction } => {
                 write!(f, "Byzantine fraction {fraction} outside [0, 1]")
             }
@@ -164,6 +149,12 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// Shards per engine: each owns a private route cache and is one unit of
+/// parallel work. Queries shard by source bucket, so a shard beyond
+/// [`NUM_BUCKETS`](crate::NUM_BUCKETS) could never receive work.
+const SHARDS: usize = 16;
+const _: () = assert!(SHARDS <= crate::cache::NUM_BUCKETS as usize);
+
 /// Configuration of a [`QueryEngine`](crate::QueryEngine).
 ///
 /// Built in the same builder style as `NetworkConfig`: start from
@@ -171,26 +162,20 @@ impl std::error::Error for ConfigError {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     threads: usize,
-    shards: usize,
     cache_capacity: usize,
-    max_hops: Option<u64>,
     byzantine: Option<ByzantineConfig>,
     failures: Option<FailureSchedule>,
     telemetry: bool,
-    simd: bool,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             threads: 0, // resolved to available parallelism by the pool
-            shards: 16,
             cache_capacity: 1024,
-            max_hops: None,
             byzantine: None,
             failures: None,
             telemetry: true,
-            simd: true,
         }
     }
 }
@@ -203,30 +188,11 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the number of shards (each owns a private route cache and is processed as
-    /// one unit of parallel work). Must lie in `1..=NUM_BUCKETS` — queries are
-    /// assigned by source bucket, so shards beyond the bucket count could never
-    /// receive work — but out-of-range values are no longer silently clamped here:
-    /// [`EngineConfig::validate`] reports them as [`ConfigError::ZeroShards`] /
-    /// [`ConfigError::ShardsExceedBuckets`].
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Sets the per-shard route-cache capacity in entries. `0` disables caching, which
     /// makes every query an exact fresh measurement.
     #[must_use]
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Overrides the router's hop budget for engine queries.
-    #[must_use]
-    pub fn max_hops(mut self, max_hops: u64) -> Self {
-        self.max_hops = Some(max_hops);
         self
     }
 
@@ -236,22 +202,17 @@ impl EngineConfig {
         self.threads
     }
 
-    /// Configured shard count.
+    /// Shards the engine splits a batch into (a fixed 16: each owns a private
+    /// route cache and is one unit of parallel work).
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.shards
+        SHARDS
     }
 
     /// Configured per-shard cache capacity (0 = caching disabled).
     #[must_use]
     pub fn cache_capacity_entries(&self) -> usize {
         self.cache_capacity
-    }
-
-    /// Configured hop-budget override, if any.
-    #[must_use]
-    pub fn max_hops_override(&self) -> Option<u64> {
-        self.max_hops
     }
 
     /// Enables or disables the engine's telemetry subsystem (default: enabled).
@@ -272,28 +233,6 @@ impl EngineConfig {
     #[must_use]
     pub fn telemetry_enabled(&self) -> bool {
         self.telemetry
-    }
-
-    /// Enables or disables the vectorised distance-scan kernel (default: enabled).
-    ///
-    /// When enabled, the engine resolves the best SIMD kernel the host supports
-    /// once at construction (`KernelIsa::detect()`: AVX2 on capable x86-64, the
-    /// scalar fold elsewhere or under `FAULTLINE_FORCE_SCALAR=1`) and threads it
-    /// into every worker's `RouteScratch`. Disabling it pins the portable scalar
-    /// kernel — the A/B baseline the `simd` benchmark section measures against.
-    /// Routing results are bit-identical either way: the packed-key minimum the
-    /// kernel reduces is order-independent, so only wall-clock changes.
-    #[must_use]
-    pub fn simd(mut self, enabled: bool) -> Self {
-        self.simd = enabled;
-        self
-    }
-
-    /// Whether the vectorised distance-scan kernel is enabled (see
-    /// [`EngineConfig::simd`]).
-    #[must_use]
-    pub fn simd_enabled(&self) -> bool {
-        self.simd
     }
 
     /// Opens the byzantine workload lane: every batch routes through redundant
@@ -341,19 +280,8 @@ impl EngineConfig {
     /// calls it at construction (and panics with the error's message, since a bad
     /// config there is a programming error; the engine exposes no setter, so the
     /// config cannot change afterwards), and `ScenarioSpec::into_engine_config` in the scenario DSL surfaces it as a
-    /// diagnosable `Result`. Earlier releases silently clamped shard counts and
-    /// panicked inside the byzantine builders; both now land here instead.
+    /// diagnosable `Result`.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        let buckets = crate::cache::NUM_BUCKETS as usize;
-        if self.shards == 0 {
-            return Err(ConfigError::ZeroShards);
-        }
-        if self.shards > buckets {
-            return Err(ConfigError::ShardsExceedBuckets {
-                shards: self.shards,
-                buckets,
-            });
-        }
         if let Some(byzantine) = &self.byzantine {
             if byzantine.redundancy == 0 {
                 return Err(ConfigError::ByzantineZeroRedundancy);
@@ -389,25 +317,15 @@ mod tests {
 
     #[test]
     fn builder_overrides_defaults() {
-        let config = EngineConfig::default()
-            .threads(8)
-            .shards(32)
-            .cache_capacity(64)
-            .max_hops(1000);
+        let config = EngineConfig::default().threads(8).cache_capacity(64);
         assert_eq!(config.thread_count(), 8);
-        assert_eq!(config.shard_count(), 32);
+        assert_eq!(config.shard_count(), 16);
         assert_eq!(config.cache_capacity_entries(), 64);
-        assert_eq!(config.max_hops_override(), Some(1000));
         assert!(
             EngineConfig::default().telemetry_enabled(),
             "telemetry is on by default"
         );
         assert!(!EngineConfig::default().telemetry(false).telemetry_enabled());
-        assert!(
-            EngineConfig::default().simd_enabled(),
-            "the vectorised kernel is on by default"
-        );
-        assert!(!EngineConfig::default().simd(false).simd_enabled());
     }
 
     #[test]
@@ -483,26 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_are_validated_not_clamped() {
-        // The setter stores what it is given; validate() reports the contradiction
-        // instead of silently clamping (the pre-validation behaviour).
-        assert_eq!(EngineConfig::default().shards(0).shard_count(), 0);
-        assert_eq!(
-            EngineConfig::default().shards(0).validate(),
-            Err(ConfigError::ZeroShards)
-        );
-        let buckets = crate::cache::NUM_BUCKETS as usize;
-        assert_eq!(
-            EngineConfig::default().shards(500).validate(),
-            Err(ConfigError::ShardsExceedBuckets {
-                shards: 500,
-                buckets
-            })
-        );
-        assert_eq!(EngineConfig::default().shards(buckets).validate(), Ok(()));
-    }
-
-    #[test]
     fn schedule_tail_past_the_run_is_rejected() {
         use crate::failures::FailureEvent;
         let schedule = FailureSchedule::from_events(vec![
@@ -533,13 +431,15 @@ mod tests {
 
     #[test]
     fn config_errors_display_their_diagnosis() {
-        let text = ConfigError::ShardsExceedBuckets {
-            shards: 500,
-            buckets: 64,
+        let text = ConfigError::ScheduleOutlivesRun {
+            events: 5,
+            epochs: 3,
         }
         .to_string();
-        assert!(text.contains("500"), "{text}");
-        assert!(text.contains("64"), "{text}");
-        assert!(ConfigError::ZeroShards.to_string().contains("shard"));
+        assert!(text.contains("5 events"), "{text}");
+        assert!(text.contains("3 epochs"), "{text}");
+        assert!(ConfigError::ByzantineFractionOutOfRange { fraction: 1.5 }
+            .to_string()
+            .contains("1.5"));
     }
 }

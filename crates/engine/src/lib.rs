@@ -9,7 +9,7 @@
 //! of the overlay:
 //!
 //! * **Sharding** — the metric space is divided into [`NUM_BUCKETS`] buckets; each query
-//!   is assigned to a shard by its source bucket, and each shard owns a private route
+//!   is assigned to one of 16 shards by its source bucket, and each shard owns a private route
 //!   cache and admits its queries in a fixed order. With the cache off a shard routes
 //!   its lookups as interleaved walks with row prefetch
 //!   ([`WalkPipeline`](faultline_routing::WalkPipeline)); with it on, one at a time.
@@ -50,7 +50,7 @@
 //!   consistent: departing Byzantine nodes shrink the set and
 //!   [`ChurnMix::adversarial_joins`] conscripts arrivals (a join at a stale label
 //!   *clears* it — labels are reused, so newcomers never inherit old convictions).
-//!   [`BatchReport`] splits honest-vs-contested success/hop/latency percentiles.
+//!   [`BatchReport`] splits honest-vs-contested success and hop percentiles.
 //! * **Failure epochs** — [`EngineConfig::failures`] interleaves *correlated*
 //!   damage with the traffic: a [`FailureSchedule`] cycles region crashes,
 //!   two-sided partitions, and heal events through the same typed-delta pipeline
@@ -62,11 +62,12 @@
 //!   success denominator, and dropped-but-survivable lookups are the routing
 //!   failures the resilience gate counts. Failed lookups get a bounded
 //!   diversified-retry budget while the overlay is damaged.
-//! * **Percentile stats** — every batch reports p50/p95/p99 hop and per-query wall-time
-//!   ladders plus queries/sec, exportable as JSON for the benchmark trajectory.
-//!   Latency percentiles come from log-bucketed histograms ([`LatencyDigest`]) that
-//!   carry the batch's measurement floor and quantization share, so sub-resolution
-//!   readings are visible as clock artifacts instead of masquerading as precise.
+//! * **Percentile stats** — every batch reports p50/p95/p99 hop ladders (the
+//!   paper's cost: messages per lookup) plus its wall time and queries/sec,
+//!   exportable as JSON for the benchmark trajectory. Lookups do not time
+//!   themselves: a [`QueryOutcome`] holds no clock reading, so every field is
+//!   deterministic and outcomes compare with `==`. Time is measured per batch and,
+//!   through telemetry, per shard.
 //! * **Telemetry** — the engine records per-phase wall-time histograms (`freeze`,
 //!   `apply_delta`, `invalidate`, per-shard `batch_shard`, `compact`),
 //!   per-shard cache counters (hits/misses/evictions/occupancy), and a bounded ring
@@ -112,7 +113,7 @@ pub use config::{ByzantineConfig, ByzantineMembership, ConfigError, EngineConfig
 pub use failures::{FailureEvent, FailureSchedule, FailureWork, SurvivabilitySplit};
 pub use interleave::{ChurnMix, EpochReport, EpochWorkload, InterleavedReport, SnapshotWork};
 pub use run::QueryEngine;
-pub use stats::{AdversarySplit, BatchReport, LatencyDigest, QueryOutcome};
+pub use stats::{AdversarySplit, BatchReport, QueryOutcome};
 
 // Re-exported so byzantine-lane callers need no direct `faultline_routing` dependency.
 pub use faultline_routing::ByzantineSet;

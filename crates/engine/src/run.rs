@@ -4,7 +4,7 @@ use crate::batch::QueryBatch;
 use crate::cache::{bucket_of, CachedRoute, RouteCache, RowSet};
 use crate::config::{ByzantineMembership, EngineConfig};
 use crate::stats::{BatchReport, QueryOutcome};
-use faultline_core::{FrozenView, Network, NetworkView};
+use faultline_core::{FrozenView, Network};
 use faultline_overlay::{ChurnDelta, NodeId};
 use faultline_routing::{
     ByzantineSet, FaultStrategy, KernelIsa, RedundantRouter, RouteResult, RouteScratch, Router,
@@ -18,7 +18,8 @@ use std::time::Instant;
 
 /// A reusable parallel query engine.
 ///
-/// The engine owns a worker pool and one [`RouteCache`] per shard. Queries are assigned
+/// The engine owns a worker pool and one [`RouteCache`] per shard (a fixed 16, see
+/// [`EngineConfig::shard_count`]). Queries are assigned
 /// to shards by the bucket of their *source* node; each shard's queries are admitted
 /// in batch order by whichever worker picks the shard up, which routes them as
 /// [`PIPELINE_WIDTH`] interleaved walks ([`WalkPipeline`]) — or one at a time when
@@ -26,7 +27,10 @@ use std::time::Instant;
 /// order. Because shards share nothing, the hot path takes no locks, and per-query
 /// results are bit-for-bit reproducible at any thread count and pipeline width:
 /// every walk's randomness comes from `(batch seed, query index, attempt)` and
-/// cache state evolves per shard in a fixed order.
+/// cache state evolves per shard in a fixed order. No lookup reads the clock, so
+/// every [`QueryOutcome`] field is covered: two runs' outcomes compare with `==`.
+/// Time is measured per batch ([`BatchReport::wall_time`]) and per shard (the
+/// telemetry `batch_shard` span).
 ///
 /// Caches persist across batches so steady-state traffic sees realistic hit rates;
 /// churn evicts exactly the entries whose walks read a changed row, via
@@ -54,9 +58,9 @@ pub struct QueryEngine {
     /// The engine's telemetry handle: per-phase histograms, per-shard cache cells,
     /// and the event ring. Disabled (inert) when `EngineConfig::telemetry(false)`.
     telemetry: Telemetry,
-    /// The distance-scan kernel every worker scratch dispatches to — resolved once
-    /// at construction (cpuid + `FAULTLINE_FORCE_SCALAR`, or pinned scalar by
-    /// `EngineConfig::simd(false)`), never re-detected on the query path.
+    /// The distance-scan kernel the engine's own snapshots carry — resolved once
+    /// at construction (cpuid + `FAULTLINE_FORCE_SCALAR`), never re-detected on
+    /// the query path.
     kernel: KernelIsa,
 }
 
@@ -115,11 +119,7 @@ impl QueryEngine {
                 cache
             })
             .collect();
-        let kernel = if config.simd_enabled() {
-            KernelIsa::detect()
-        } else {
-            KernelIsa::scalar()
-        };
+        let kernel = KernelIsa::detect();
         let shards = (0..config.shard_count())
             .map(|_| ShardBuffers::default())
             .collect();
@@ -136,10 +136,11 @@ impl QueryEngine {
         }
     }
 
-    /// The distance-scan kernel this engine's workers dispatch to: the detected
-    /// best ISA by default, pinned scalar when `EngineConfig::simd(false)` (or
-    /// `FAULTLINE_FORCE_SCALAR=1`). Benchmarks read it to label their `simd`
-    /// section with the dispatched ISA and lane width.
+    /// The distance-scan kernel the engine stamps on the snapshots it freezes: the
+    /// best ISA the host supports, or the scalar fold under
+    /// `FAULTLINE_FORCE_SCALAR=1`. A caller-owned snapshot routes with its own
+    /// kernel (`FrozenView::with_kernel`). Benchmarks read it to label their
+    /// `simd` section with the dispatched ISA and lane width.
     #[must_use]
     pub fn kernel(&self) -> KernelIsa {
         self.kernel
@@ -231,7 +232,7 @@ impl QueryEngine {
         self.snapshots_built += 1;
         // xlint: allow(determinism) -- freeze cost feeds telemetry and epoch reports only; query results never depend on it
         let started = Instant::now();
-        let view = self.routing_view(network).freeze().with_kernel(self.kernel);
+        let view = network.view().freeze().with_kernel(self.kernel);
         let nanos = started.elapsed().as_nanos() as u64;
         self.telemetry.record_phase(Phase::Freeze, nanos);
         (view, nanos)
@@ -241,15 +242,6 @@ impl QueryEngine {
     /// maintains its own, so the engine never holds two).
     pub(crate) fn drop_snapshot(&mut self) {
         self.snapshot = None;
-    }
-
-    /// The routing view the engine's batches run over (hop-budget override applied).
-    pub(crate) fn routing_view<'a>(&self, network: &'a Network) -> NetworkView<'a> {
-        let mut view = network.view();
-        if let Some(max_hops) = self.config.max_hops_override() {
-            view = view.with_max_hops(max_hops);
-        }
-        view
     }
 
     /// Resolves the configured adversary membership against `network` (once; later
@@ -373,7 +365,7 @@ impl QueryEngine {
             .failures_config()
             .map_or(0, crate::failures::FailureSchedule::retry_budget);
         self.resolve_adversaries(network);
-        let router = self.routing_view(network).router();
+        let router = network.view().router();
         // Byzantine lane: a non-empty resolved adversary set routes every query
         // through redundant diversified walks, bypassing the route cache (a cached
         // digest cannot tell which walks an adversary swallowed). An empty set is the
@@ -418,7 +410,6 @@ impl QueryEngine {
                 attempts: 0,
                 adversary_drops: 0,
                 total_hops: 0,
-                nanos: 0,
             });
             if source < n && target < n {
                 let shard = (bucket_of(source, n) as usize) % shard_count;
@@ -523,8 +514,6 @@ fn diversified(router: Router) -> Router {
 #[derive(Clone, Copy)]
 struct Lookup {
     index: usize,
-    /// Admission time: `QueryOutcome::nanos` is measured from here.
-    started: Instant,
     /// `seed_for_trial(batch seed, index)`: the first attempt's seed, and the root
     /// every retry's seed derives from.
     base_seed: u64,
@@ -562,8 +551,6 @@ impl WalkFeed for ShardFeed<'_> {
     fn admit(&mut self) -> Option<Walk<Lookup>> {
         for &index in self.queue.by_ref() {
             let (source, target) = self.pairs[index];
-            // xlint: allow(determinism) -- per-query latency stamp: reported in percentiles only, never read by routing
-            let started = Instant::now();
             let buckets = (bucket_of(source, self.n), bucket_of(target, self.n));
             if let Some(hit) = self.cache.get(buckets.0, buckets.1) {
                 self.outcomes.push((
@@ -578,7 +565,6 @@ impl WalkFeed for ShardFeed<'_> {
                         attempts: 1,
                         adversary_drops: 0,
                         total_hops: hit.hops,
-                        nanos: started.elapsed().as_nanos() as u64,
                     },
                 ));
                 continue;
@@ -592,7 +578,6 @@ impl WalkFeed for ShardFeed<'_> {
                 seed: base_seed,
                 tag: Lookup {
                     index,
-                    started,
                     base_seed,
                     attempts: 0,
                     total_hops: 0,
@@ -665,7 +650,6 @@ impl WalkFeed for ShardFeed<'_> {
                 attempts: lookup.attempts,
                 adversary_drops: 0,
                 total_hops: lookup.total_hops,
-                nanos: lookup.started.elapsed().as_nanos() as u64,
             },
         ));
         None
@@ -689,8 +673,6 @@ fn route_one_byzantine(
     source: NodeId,
     target: NodeId,
 ) -> QueryOutcome {
-    // xlint: allow(determinism) -- per-query latency stamp: reported in percentiles only, never read by routing
-    let started = Instant::now();
     let mut rng = SmallRng::seed_from_u64(seed_for_trial(batch_seed, index as u64));
     let result = lane.router.route_frozen(
         frozen.routes(),
@@ -711,7 +693,6 @@ fn route_one_byzantine(
         attempts: result.attempts,
         adversary_drops: result.dropped_by_adversary,
         total_hops: result.total_hops,
-        nanos: started.elapsed().as_nanos() as u64,
     }
 }
 
@@ -799,29 +780,15 @@ mod tests {
         let net = network(1 << 9, 8);
         let batch = QueryBatch::uniform(&net, 3_000, 21);
         let mut auto = QueryEngine::new(EngineConfig::default().threads(2));
-        let mut scalar = QueryEngine::new(EngineConfig::default().threads(2).simd(false));
-        assert_eq!(scalar.kernel().label(), "scalar");
-        assert_eq!(scalar.kernel().lanes(), 1);
+        let mut scalar = QueryEngine::new(EngineConfig::default().threads(2));
+        let pinned = net.view().freeze().with_kernel(KernelIsa::scalar());
+        assert_eq!(pinned.kernel().label(), "scalar");
+        assert_eq!(pinned.kernel().lanes(), 1);
         let a = auto.run_batch(&net, &batch);
-        let b = scalar.run_batch(&net, &batch);
-        let digest = |r: &BatchReport| {
-            r.outcomes()
-                .iter()
-                .map(|o| {
-                    (
-                        o.source,
-                        o.target,
-                        o.delivered,
-                        o.hops,
-                        o.recoveries,
-                        o.cached,
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
+        let b = scalar.run_batch_with_snapshot(&net, &batch, Some(&pinned));
         assert_eq!(
-            digest(&a),
-            digest(&b),
+            a.outcomes(),
+            b.outcomes(),
             "the {} kernel diverged from the scalar fold",
             auto.kernel().label()
         );

@@ -5,9 +5,8 @@
 //!    identical to a sequential per-query call with the same `(batch seed, index)`
 //!    randomness, at any thread count (1 vs 4 vs 8).
 //! 2. **Empty set == honest path.** A byzantine-configured engine whose resolved
-//!    adversary set is empty must report outcomes bit-identical (modulo wall-clock
-//!    nanos) to a plain honest engine — no redundancy overhead, cache behaviour
-//!    included.
+//!    adversary set is empty must report outcomes bit-identical to a plain honest
+//!    engine — no redundancy overhead, cache behaviour included.
 //! 3. **Churn-consistent membership.** Under `run_interleaved`, departing Byzantine
 //!    nodes shrink the set, `ChurnMix::adversarial_joins` conscripts arrivals, and a
 //!    join at a label the set still lists *clears* the stale conviction instead of
@@ -18,7 +17,7 @@ mod common;
 use common::{live_oracle, verdicts};
 use faultline_core::{ConstructionMode, Network, NetworkConfig};
 use faultline_engine::{
-    BatchReport, ByzantineConfig, ByzantineSet, ChurnMix, EngineConfig, QueryBatch, QueryEngine,
+    ByzantineConfig, ByzantineSet, ChurnMix, EngineConfig, QueryBatch, QueryEngine, QueryOutcome,
 };
 use faultline_routing::{RedundantRouter, RouteScratch};
 use faultline_sim::seed_for_trial;
@@ -36,29 +35,6 @@ fn incremental_network(n: u64, seed: u64) -> Network {
     let config =
         NetworkConfig::paper_default(n).construction(ConstructionMode::incremental_default());
     Network::build(&config, &mut rng)
-}
-
-/// Every thread-count-invariant field of an outcome (wall-clock nanos excluded).
-type Fingerprint = Vec<(u64, u64, bool, u64, u64, bool, u32, u32, u64)>;
-
-fn fingerprint(report: &BatchReport) -> Fingerprint {
-    report
-        .outcomes()
-        .iter()
-        .map(|o| {
-            (
-                o.source,
-                o.target,
-                o.delivered,
-                o.hops,
-                o.recoveries,
-                o.cached,
-                o.attempts,
-                o.adversary_drops,
-                o.total_hops,
-            )
-        })
-        .collect()
 }
 
 proptest! {
@@ -90,7 +66,7 @@ proptest! {
         let frozen = net.view().freeze();
         let router = RedundantRouter::new(net.view().router(), redundancy);
         let mut scratch = RouteScratch::new();
-        let expected: Vec<_> = batch
+        let expected: Vec<QueryOutcome> = batch
             .pairs()
             .iter()
             .enumerate()
@@ -104,17 +80,17 @@ proptest! {
                     &mut rng,
                     &mut scratch,
                 );
-                (
-                    s,
-                    t,
-                    r.delivered,
-                    r.winning_hops.unwrap_or(r.total_hops),
-                    r.recoveries,
-                    false,
-                    r.attempts,
-                    r.dropped_by_adversary,
-                    r.total_hops,
-                )
+                QueryOutcome {
+                    source: s,
+                    target: t,
+                    delivered: r.delivered,
+                    hops: r.winning_hops.unwrap_or(r.total_hops),
+                    recoveries: r.recoveries,
+                    cached: false,
+                    attempts: r.attempts,
+                    adversary_drops: r.dropped_by_adversary,
+                    total_hops: r.total_hops,
+                }
             })
             .collect();
 
@@ -126,8 +102,8 @@ proptest! {
             prop_assert!(report.is_byzantine());
             prop_assert_eq!(report.cache_hits(), 0, "byzantine lane bypasses the cache");
             prop_assert_eq!(
-                &fingerprint(&report),
-                &expected,
+                report.outcomes(),
+                &expected[..],
                 "batched path diverged from per-query route_frozen at {} threads",
                 threads
             );
@@ -165,7 +141,7 @@ proptest! {
                 !byz_report.is_byzantine(),
                 "an empty set routes the honest lane"
             );
-            prop_assert_eq!(fingerprint(&byz_report), fingerprint(&honest_report));
+            prop_assert_eq!(byz_report.outcomes(), honest_report.outcomes());
         }
     }
 }
@@ -197,10 +173,13 @@ fn byzantine_batches_are_deterministic_across_thread_counts_at_scale() {
             report.mean_attempts() > 1.0,
             "contested lookups must have retried"
         );
-        let fp = fingerprint(&report);
         match &baseline {
-            None => baseline = Some(fp),
-            Some(expected) => assert_eq!(expected, &fp, "diverged at {threads} threads"),
+            None => baseline = Some(report),
+            Some(expected) => assert_eq!(
+                expected.outcomes(),
+                report.outcomes(),
+                "diverged at {threads} threads"
+            ),
         }
     }
 }
@@ -334,7 +313,14 @@ fn byzantine_interleaved_is_deterministic_across_thread_counts() {
         report
             .epochs()
             .iter()
-            .map(|e| (fingerprint(&e.batch), e.joins, e.leaves, e.byzantine_after))
+            .map(|e| {
+                (
+                    e.batch.outcomes().to_vec(),
+                    e.joins,
+                    e.leaves,
+                    e.byzantine_after,
+                )
+            })
             .collect::<Vec<_>>()
     };
     assert_eq!(

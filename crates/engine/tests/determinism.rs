@@ -18,15 +18,6 @@ fn network(n: u64, seed: u64) -> Network {
     Network::build(&NetworkConfig::paper_default(n), &mut rng)
 }
 
-/// The per-query facts that must be thread-count invariant (wall-clock nanos are not).
-fn fingerprint(report: &faultline_engine::BatchReport) -> Vec<(u64, u64, bool, u64, bool)> {
-    report
-        .outcomes()
-        .iter()
-        .map(|o| (o.source, o.target, o.delivered, o.hops, o.cached))
-        .collect()
-}
-
 #[test]
 fn hundred_thousand_queries_identical_across_thread_counts() {
     let net = network(1 << 10, 1);
@@ -42,11 +33,11 @@ fn hundred_thousand_queries_identical_across_thread_counts() {
             100_000,
             "healthy overlay delivers everything"
         );
-        let fp = fingerprint(&report);
         match &baseline {
-            None => baseline = Some(fp),
+            None => baseline = Some(report),
             Some(expected) => assert_eq!(
-                expected, &fp,
+                expected.outcomes(),
+                report.outcomes(),
                 "results diverged between 1 and {threads} threads"
             ),
         }
@@ -63,7 +54,7 @@ fn determinism_holds_with_caching_disabled_too() {
         engine.run_batch(&net, &batch)
     };
     let serial = run(1);
-    assert_eq!(fingerprint(&serial), fingerprint(&run(6)));
+    assert_eq!(serial.outcomes(), run(6).outcomes());
     // With the default deterministic strategy every query also answers exactly
     // what a live-graph walk with the same per-query seed answers.
     assert_eq!(verdicts(&serial), live_oracle(&net, &batch));
@@ -87,17 +78,21 @@ fn pipelined_retries_are_identical_across_thread_counts_and_to_a_sequential_loop
             .threads(threads)
             .cache_capacity(0)
             .failures(schedule.clone());
-        let report = QueryEngine::new(config).run_batch(&net, &batch);
-        report
-            .outcomes()
-            .iter()
-            .map(|o| (o.delivered, o.hops, o.recoveries, o.attempts, o.total_hops))
-            .collect::<Vec<_>>()
+        QueryEngine::new(config).run_batch(&net, &batch)
     };
     let serial = run(1);
     for threads in [2usize, 4, 8] {
-        assert_eq!(serial, run(threads), "1 vs {threads} threads");
+        assert_eq!(
+            serial.outcomes(),
+            run(threads).outcomes(),
+            "1 vs {threads} threads"
+        );
     }
+    let serial: Vec<_> = serial
+        .outcomes()
+        .iter()
+        .map(|o| (o.delivered, o.hops, o.recoveries, o.attempts, o.total_hops))
+        .collect();
     // The same lookups one at a time: the first attempt with the batch seed, then
     // up to `budget` random re-route retries with seeds derived per attempt.
     let frozen = net.view().freeze();
@@ -148,12 +143,12 @@ fn determinism_survives_damage_and_random_reroute_strategies() {
         net.apply_failure(&NodeFailure::fraction(0.4), &mut failure_rng);
         let batch = QueryBatch::uniform(&net, 30_000, 11);
         let mut engine = QueryEngine::new(EngineConfig::default().threads(threads));
-        fingerprint(&engine.run_batch(&net, &batch))
+        engine.run_batch(&net, &batch)
     };
     let serial = run(1);
-    assert_eq!(serial, run(8));
+    assert_eq!(serial.outcomes(), run(8).outcomes());
     assert!(
-        serial.iter().any(|&(_, _, delivered, _, _)| !delivered),
+        serial.outcomes().iter().any(|o| !o.delivered),
         "40% failures should break some searches"
     );
 }
@@ -170,7 +165,14 @@ fn interleaved_trajectories_identical_across_thread_counts() {
         report
             .epochs()
             .iter()
-            .map(|e| (fingerprint(&e.batch), e.joins, e.leaves, e.alive_after))
+            .map(|e| {
+                (
+                    e.batch.outcomes().to_vec(),
+                    e.joins,
+                    e.leaves,
+                    e.alive_after,
+                )
+            })
             .collect::<Vec<_>>()
     };
     assert_eq!(

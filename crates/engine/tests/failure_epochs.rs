@@ -122,7 +122,7 @@ fn failure_trajectories_are_thread_count_deterministic() {
             .map(|e| {
                 let s = e.survivability.expect("classified");
                 (
-                    e.batch.delivered(),
+                    e.batch.outcomes().to_vec(),
                     e.alive_after,
                     s.predicted_survivable,
                     s.survivable_delivered,

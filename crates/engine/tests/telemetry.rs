@@ -23,15 +23,6 @@ fn incremental_network(n: u64, seed: u64) -> Network {
     Network::build(&config, &mut rng)
 }
 
-/// The per-query facts instrumentation must not perturb.
-fn fingerprint(report: &faultline_engine::BatchReport) -> Vec<(u64, u64, bool, u64, bool)> {
-    report
-        .outcomes()
-        .iter()
-        .map(|o| (o.source, o.target, o.delivered, o.hops, o.cached))
-        .collect()
-}
-
 /// Event counts per kind: the ring's *order* varies with worker interleaving, the
 /// per-kind totals must not.
 fn event_counts(snapshot: &MetricsSnapshot) -> Vec<(EventKind, usize)> {
@@ -57,19 +48,19 @@ proptest! {
                 );
                 let cold = engine.run_batch(&network, &batch);
                 let warm = engine.run_batch(&network, &batch);
-                (fingerprint(&cold), fingerprint(&warm))
+                (cold, warm)
             };
             let (cold_on, warm_on) = run(true);
             let (cold_off, warm_off) = run(false);
             prop_assert_eq!(
-                cold_on,
-                cold_off,
+                cold_on.outcomes(),
+                cold_off.outcomes(),
                 "telemetry changed cold-cache results at {} threads",
                 threads
             );
             prop_assert_eq!(
-                warm_on,
-                warm_off,
+                warm_on.outcomes(),
+                warm_off.outcomes(),
                 "telemetry changed warm-cache results at {} threads",
                 threads
             );
@@ -170,7 +161,14 @@ fn interleaved_run_stamps_phases_and_events() {
     let digest = |r: &faultline_engine::InterleavedReport| {
         r.epochs()
             .iter()
-            .map(|e| (fingerprint(&e.batch), e.joins, e.leaves, e.alive_after))
+            .map(|e| {
+                (
+                    e.batch.outcomes().to_vec(),
+                    e.joins,
+                    e.leaves,
+                    e.alive_after,
+                )
+            })
             .collect::<Vec<_>>()
     };
     assert_eq!(digest(&report), digest(&bare_report));

@@ -79,7 +79,7 @@ enum IsaKind {
 
 impl KernelIsa {
     /// The portable scalar kernel (always available; what
-    /// `EngineConfig::simd(false)` and `FAULTLINE_FORCE_SCALAR` select).
+    /// `FAULTLINE_FORCE_SCALAR` and `RouteScratch::with_simd(false)` pin).
     #[must_use]
     pub const fn scalar() -> Self {
         Self {

@@ -203,9 +203,12 @@ mod tests {
 
     #[test]
     fn config_errors_pass_through_with_source() {
-        let inner = ConfigError::ZeroShards;
+        let inner = ConfigError::ByzantineZeroRedundancy;
         let error = ScenarioError::from(inner);
-        assert_eq!(error, ScenarioError::Config(ConfigError::ZeroShards));
+        assert_eq!(
+            error,
+            ScenarioError::Config(ConfigError::ByzantineZeroRedundancy)
+        );
         assert!(error
             .to_string()
             .starts_with("engine rejected the scenario:"));

@@ -30,8 +30,7 @@
 //! | `[churn]` | `fraction` *or* `events_per_epoch` | float / integer | *(one required)* |
 //! | | `join_probability` | float | engine default (`0.5`) |
 //! | | `adversarial_joins` | float | `0.0` |
-//! | `[engine]` | `threads`, `shards`, `cache_capacity` | integer | engine defaults |
-//! | | `max_hops` | integer | engine default |
+//! | `[engine]` | `threads`, `cache_capacity` | integer | engine defaults |
 //! | | `telemetry` | boolean | engine default |
 //! | `[byzantine]` | `fraction` | float | *(required in section)* |
 //! | | `seed` | integer | scenario seed `^ 0xB52A` |
@@ -121,12 +120,8 @@ pub struct ChurnSpec {
 pub struct EngineSpec {
     /// Worker threads (`0` = available parallelism).
     pub threads: Option<usize>,
-    /// Shard count (validated against the bucket count by the engine).
-    pub shards: Option<usize>,
     /// Per-shard route-cache capacity (`0` disables caching).
     pub cache_capacity: Option<usize>,
-    /// Hop budget override.
-    pub max_hops: Option<u64>,
     /// Telemetry recording.
     pub telemetry: Option<bool>,
 }
@@ -269,22 +264,15 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// [`ScenarioError::Config`] when
-    /// [`EngineConfig::validate_for_epochs`] rejects the assembled whole (shard
-    /// bounds, byzantine domain, schedule length vs the
-    /// run's epochs).
+    /// [`EngineConfig::validate_for_epochs`] rejects the assembled whole
+    /// (byzantine domain, schedule length vs the run's epochs).
     pub fn into_engine_config(self) -> Result<EngineConfig, ScenarioError> {
         let mut config = EngineConfig::default();
         if let Some(threads) = self.engine.threads {
             config = config.threads(threads);
         }
-        if let Some(shards) = self.engine.shards {
-            config = config.shards(shards);
-        }
         if let Some(capacity) = self.engine.cache_capacity {
             config = config.cache_capacity(capacity);
-        }
-        if let Some(max_hops) = self.engine.max_hops {
-            config = config.max_hops(max_hops);
         }
         if let Some(enabled) = self.engine.telemetry {
             config = config.telemetry(enabled);
@@ -414,14 +402,8 @@ impl ScenarioSpec {
             if let Some(threads) = self.engine.threads {
                 let _ = writeln!(out, "threads = {threads}");
             }
-            if let Some(shards) = self.engine.shards {
-                let _ = writeln!(out, "shards = {shards}");
-            }
             if let Some(capacity) = self.engine.cache_capacity {
                 let _ = writeln!(out, "cache_capacity = {capacity}");
-            }
-            if let Some(max_hops) = self.engine.max_hops {
-                let _ = writeln!(out, "max_hops = {max_hops}");
             }
             if let Some(enabled) = self.engine.telemetry {
                 let _ = writeln!(out, "telemetry = {enabled}");
@@ -933,24 +915,13 @@ fn parse_engine(document: &Document) -> Result<EngineSpec, ScenarioError> {
     let Some(section) = document.section("engine") else {
         return Ok(EngineSpec::default());
     };
-    reject_unknown_keys(
-        section,
-        &[
-            "threads",
-            "shards",
-            "cache_capacity",
-            "max_hops",
-            "telemetry",
-        ],
-    )?;
+    reject_unknown_keys(section, &["threads", "cache_capacity", "telemetry"])?;
     Ok(EngineSpec {
         threads: section.get("threads").map(expect_usize).transpose()?,
-        shards: section.get("shards").map(expect_usize).transpose()?,
         cache_capacity: section
             .get("cache_capacity")
             .map(expect_usize)
             .transpose()?,
-        max_hops: section.get("max_hops").map(expect_u64).transpose()?,
         telemetry: section.get("telemetry").map(expect_bool).transpose()?,
     })
 }

@@ -208,19 +208,22 @@ fn fire_invalid_value() {
 }
 
 #[test]
+fn fire_retired_shards_key() {
+    // The shard count is a fixed constant of the engine, not a setting.
+    assert_retired_engine_key("shards = 65", "shards");
+}
+
+#[test]
+fn fire_retired_max_hops_key() {
+    // The hop budget is the network's router's, not an engine override.
+    assert_retired_engine_key("max_hops = 200", "max_hops");
+}
+
+#[test]
 fn fire_config_passthrough() {
-    // Parses cleanly — the shard bound is the *engine's* rule, surfaced through
-    // `into_engine_config` as a Config error, not re-implemented in the DSL.
-    let source = format!("{BASE}[engine]\nshards = 65\n");
-    let spec = ScenarioSpec::parse(&source).expect("schema-valid scenario parses");
-    assert_eq!(
-        spec.into_engine_config(),
-        Err(ScenarioError::Config(ConfigError::ShardsExceedBuckets {
-            shards: 65,
-            buckets: 64,
-        }))
-    );
-    // Schedule longer than the run: caught by validate_for_epochs.
+    // Parses cleanly — the schedule-length rule is the *engine's*, surfaced
+    // through `into_engine_config` as a Config error, not re-implemented in the
+    // DSL. A schedule longer than the run is caught by validate_for_epochs.
     let schedule = format!("{BASE}[failures]\nevents = [\"region:8\", \"heal\", \"quiet\"]\n");
     let spec = ScenarioSpec::parse(&schedule).expect("schema-valid scenario parses");
     assert_eq!(

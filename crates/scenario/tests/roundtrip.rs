@@ -64,9 +64,7 @@ fn kitchen_sink_spec_round_trips() {
         "adversarial_joins = 0.1\n",
         "[engine]\n",
         "threads = 4\n",
-        "shards = 16\n",
         "cache_capacity = 4096\n",
-        "max_hops = 200\n",
         "telemetry = false\n",
         "[byzantine]\n",
         "fraction = 0.15\n",
@@ -99,9 +97,7 @@ fn kitchen_sink_spec_round_trips() {
         spec.engine,
         EngineSpec {
             threads: Some(4),
-            shards: Some(16),
             cache_capacity: Some(4096),
-            max_hops: Some(200),
             telemetry: Some(false),
         }
     );
